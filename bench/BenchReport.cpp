@@ -24,7 +24,7 @@ struct GateSpec {
   bool LowerIsBetter;
 };
 constexpr GateSpec Gates[] = {
-    {"jumps_speedup", /*LowerIsBetter=*/false},
+    {"reference_speedup", /*LowerIsBetter=*/false},
     {"verify_final_overhead", /*LowerIsBetter=*/true},
     {"obs_overhead", /*LowerIsBetter=*/true},
     // Tail blow-up of the compile-server sweep: p99/p50 of request latency.

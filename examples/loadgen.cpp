@@ -19,6 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "Suite.h"
+#include "cache/PipelineCli.h"
 #include "cfg/FunctionPrinter.h"
 #include "obs/Histogram.h"
 #include "server/Client.h"
@@ -64,12 +65,15 @@ int main(int Argc, char **Argv) {
     std::string Arg = Argv[I];
     if (Arg.rfind("--socket=", 0) == 0)
       SocketPath = Arg.substr(9);
-    else if (Arg.rfind("--requests=", 0) == 0)
-      Requests = std::atoi(Arg.c_str() + 11);
-    else if (Arg.rfind("--jobs=", 0) == 0)
-      Jobs = std::atoi(Arg.c_str() + 7);
-    else if (Arg.rfind("--seeds=", 0) == 0)
-      Seeds = std::atoi(Arg.c_str() + 8);
+    else if (Arg.rfind("--requests=", 0) == 0 &&
+             cache::PipelineCli::parseCount(Arg.c_str() + 11, Requests))
+      ; // handled
+    else if (Arg.rfind("--jobs=", 0) == 0 &&
+             cache::PipelineCli::parseCount(Arg.c_str() + 7, Jobs))
+      ; // handled
+    else if (Arg.rfind("--seeds=", 0) == 0 &&
+             cache::PipelineCli::parseCount(Arg.c_str() + 8, Seeds))
+      ; // handled
     else if (Arg == "--check")
       Check = true;
     else if (Arg.rfind("--min-hit-rate=", 0) == 0)

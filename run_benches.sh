@@ -87,9 +87,9 @@ fi
 
 # Analyze the history trail the run above just appended to: per-metric
 # deltas against a median-of-window baseline, with machine-normalized
-# ratio metrics (jumps_speedup, verify_final_overhead, obs_overhead)
-# gating. A regression beyond the threshold exits nonzero and fails the
-# whole bench run.
+# ratio metrics (reference_speedup, verify_final_overhead, obs_overhead,
+# server_tail_ratio) gating. A regression beyond the threshold exits
+# nonzero and fails the whole bench run.
 echo "##### bench/bench_report #####"
 if [ -f BENCH_history.jsonl ]; then
   ./build/bench/bench_report BENCH_history.jsonl \

@@ -27,9 +27,9 @@ using namespace coderep::cache;
 // frame layout, the fresh-name counters (they decide which labels/vregs new
 // blocks receive, i.e. output bytes), the promotable-local set, and the
 // whole post-legalize RTL text. Deliberately excluded are the knobs that
-// are proven byte-identical by the differential tests - Jobs,
-// ChangeDrivenScheduling, CacheAnalyses, DenseShortestPaths, tracing - so
-// warm entries are shared across scheduling modes, and global data, which
+// the differential tests prove byte-identical - Jobs, Reference, the
+// verifier, tracing - so warm entries are shared across those modes, and
+// global data, which
 // no function pass reads (memory operands carry symbol ids only).
 std::string PipelineCache::keyFor(const cfg::Function &F,
                                   const target::Target &T,

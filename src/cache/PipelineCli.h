@@ -7,7 +7,7 @@
 ///
 /// \file
 /// The throughput counterpart of obs::ObsCli: every example and bench
-/// binary exposes the same two pipeline-speed flags, and this header is the
+/// binary exposes the same pipeline-speed flags, and this header is the
 /// one place that parses them and owns the resulting cache:
 ///
 ///   --jobs=N              optimize N functions concurrently
@@ -20,18 +20,13 @@
 ///   --cache-budget=BYTES  bound the on-disk store: past the budget, entry
 ///                         files are evicted oldest-mtime-first (K/M/G
 ///                         suffixes accepted; 0 = unbounded, the default)
-///   --no-analysis-cache   recompute every CFG/dataflow analysis at every
-///                         query instead of serving it from the per-function
-///                         AnalysisManager (the always-recompute oracle)
-///   --no-fused-sweep      schedule local CSE, dead variable elimination,
-///                         branch chaining and constant folding as four
-///                         individual fixpoint slots instead of the fused
-///                         sweep (the fusion byte-identity oracle)
 ///
 /// Usage mirrors ObsCli: call consume() on each argv entry (true = it was
 /// one of these flags), then apply() on the PipelineOptions the binary is
 /// about to compile with. Output is byte-identical at any flag value - the
-/// flags only change how fast it is produced.
+/// flags only change how fast it is produced. A flag with a malformed value
+/// ("--jobs=abc", "--cache-budget=1.5G") is not consumed, so the binary
+/// rejects it as an unknown option instead of silently misreading it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +36,8 @@
 #include "cache/CompileCache.h"
 #include "opt/Pipeline.h"
 
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -51,14 +48,11 @@ namespace coderep::cache {
 /// one binary.
 class PipelineCli {
 public:
-  /// Returns true when \p Arg was one of the pipeline-speed flags.
+  /// Returns true when \p Arg was one of the pipeline-speed flags with a
+  /// well-formed value.
   bool consume(const std::string &Arg) {
-    if (Arg.rfind("--jobs=", 0) == 0) {
-      Jobs = std::atoi(Arg.c_str() + 7);
-      if (Jobs < 0)
-        Jobs = 0;
-      return true;
-    }
+    if (Arg.rfind("--jobs=", 0) == 0)
+      return parseCount(Arg.c_str() + 7, Jobs);
     if (Arg == "--jobs") { // bare form: use every core
       Jobs = 0;
       return true;
@@ -73,18 +67,8 @@ public:
       WantCache = true;
       return true;
     }
-    if (Arg.rfind("--cache-budget=", 0) == 0) {
-      Budget = parseBytes(Arg.c_str() + 15);
-      return true;
-    }
-    if (Arg == "--no-analysis-cache") {
-      CacheAnalyses = false;
-      return true;
-    }
-    if (Arg == "--no-fused-sweep") {
-      FusedSweep = false;
-      return true;
-    }
+    if (Arg.rfind("--cache-budget=", 0) == 0)
+      return parseBytes(Arg.c_str() + 15, Budget);
     return false;
   }
 
@@ -92,8 +76,6 @@ public:
   /// first use so repeated apply() calls share one store).
   void apply(opt::PipelineOptions &Options) {
     Options.Jobs = Jobs;
-    Options.CacheAnalyses = CacheAnalyses;
-    Options.FusedLocalSweep = FusedSweep;
     if (WantCache && !Cache)
       Cache = std::make_unique<PipelineCache>(CacheDir, /*MaxEntries=*/1024,
                                               Budget);
@@ -109,29 +91,58 @@ public:
 
   /// One usage line describing the flags, for --help texts.
   static const char *usage() {
-    return "[--jobs=N] [--pipeline-cache[=DIR]] [--cache-budget=BYTES] "
-           "[--no-analysis-cache] [--no-fused-sweep]";
+    return "[--jobs=N] [--pipeline-cache[=DIR]] [--cache-budget=BYTES]";
+  }
+
+  /// Parses a plain non-negative decimal int ("0", "16") into \p Out.
+  /// Returns false, leaving \p Out untouched, on empty input, a sign,
+  /// trailing text or overflow.
+  static bool parseCount(const char *S, int &Out) {
+    int64_t V = 0;
+    const char *End = S;
+    if (!leadingDigits(S, V, End) || *End || V > INT_MAX)
+      return false;
+    Out = static_cast<int>(V);
+    return true;
+  }
+
+  /// Parses "4096", "64K", "8M", "1G" (case-insensitive suffix) into bytes.
+  /// Returns false, leaving \p Out untouched, on anything else ("1.5G",
+  /// "-1", "10X", "") or when the scaled value overflows.
+  static bool parseBytes(const char *S, int64_t &Out) {
+    int64_t V = 0;
+    const char *End = S;
+    if (!leadingDigits(S, V, End))
+      return false;
+    int Shift = 0;
+    switch (*End) {
+    case '\0': break;
+    case 'k': case 'K': Shift = 10; break;
+    case 'm': case 'M': Shift = 20; break;
+    case 'g': case 'G': Shift = 30; break;
+    default: return false;
+    }
+    if ((Shift && End[1]) || V > (INT64_MAX >> Shift))
+      return false; // text after the suffix, or overflow
+    Out = V << Shift;
+    return true;
   }
 
 private:
-  /// "4096", "64K", "8M", "1G" (case-insensitive suffix) -> bytes.
-  static int64_t parseBytes(const char *S) {
-    char *End = nullptr;
-    long long V = std::strtoll(S, &End, 10);
-    if (End == S || V < 0)
-      return 0;
-    switch (*End) {
-    case 'k': case 'K': V <<= 10; break;
-    case 'm': case 'M': V <<= 20; break;
-    case 'g': case 'G': V <<= 30; break;
-    default: break;
-    }
-    return static_cast<int64_t>(V);
+  /// Reads the leading decimal digits of \p S into \p V and points \p End
+  /// past them. False when \p S does not start with a digit (empty, signed
+  /// or non-numeric) or the digits overflow.
+  static bool leadingDigits(const char *S, int64_t &V, const char *&End) {
+    if (*S < '0' || *S > '9')
+      return false;
+    char *E = nullptr;
+    errno = 0;
+    V = std::strtoll(S, &E, 10);
+    End = E;
+    return errno != ERANGE;
   }
 
   int Jobs = 0; ///< 0 = hardware concurrency
-  bool CacheAnalyses = true;
-  bool FusedSweep = true;
   bool WantCache = false;
   int64_t Budget = 0; ///< on-disk size bound; 0 = unbounded
   std::string CacheDir;

@@ -140,7 +140,7 @@ struct AnalysisCounters {
 class AnalysisManager {
 public:
   /// \p CacheEnabled = false degrades every query to a fresh computation
-  /// (the always-recompute oracle; PipelineOptions::CacheAnalyses). \p
+  /// (the always-recompute mode of PipelineOptions::Reference). \p
   /// Trace, when given, receives a span per analysis recomputation and is
   /// forwarded to the shortest-path cache.
   explicit AnalysisManager(cfg::Function &F, bool CacheEnabled = true,

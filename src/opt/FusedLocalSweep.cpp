@@ -26,8 +26,9 @@
 // adjacent in the oracle schedule and their dirty bits are provably in
 // lockstep, so running them back to back is exactly the sequence of pass
 // bodies the unfused scheduler executes - identity holds structurally,
-// and the 84-config suite plus 200-seed random differential against
-// --no-fused-sweep pins it in bytes (tests/FusedSweepTest.cpp).
+// and the 84-config suite plus 200-seed random differential against the
+// reference pipeline, which runs the four passes as separate slots, pins it
+// in bytes (tests/ReferencePipelineTest.cpp).
 //
 //===----------------------------------------------------------------------===//
 

@@ -154,11 +154,11 @@ bool runCodeMotion(cfg::Function &F, AnalysisManager &AM);
 bool runStrengthReduction(cfg::Function &F);
 bool runStrengthReduction(cfg::Function &F, AnalysisManager &AM);
 
-/// The fused register-level sweep (PipelineOptions::FusedLocalSweep): runs
-/// one segment's sub-passes back to back as a single schedulable unit,
-/// committing each changed sub-step's exact preserved-set to \p AM.
-/// Byte-identical to scheduling the passes individually (the
-/// --no-fused-sweep oracle).
+/// The fused register-level sweep (the default pipeline's
+/// Phase::FusedLocalSweep slots): runs one segment's sub-passes back to
+/// back as a single schedulable unit, committing each changed sub-step's
+/// exact preserved-set to \p AM. Byte-identical to scheduling the passes
+/// individually, as PipelineOptions::Reference does.
 bool runFusedLocalSweep(cfg::Function &F, const target::Target &T,
                         AnalysisManager &AM, FusedSegment Segment);
 

@@ -191,8 +191,9 @@ constexpr uint16_t AllFixpointPasses = fpBit(NumFixpointPasses) - 1;
 /// The matrix is deliberately conservative: everything invalidates
 /// everything unless there is a structural argument to the contrary, and
 /// the scheduled loop is differentially tested against the
-/// rerun-everything loop (ChangeDrivenScheduling = false) over the whole
-/// benchmark suite and hundreds of random programs. The argued exceptions:
+/// rerun-everything reference loop (PipelineOptions::Reference) over the
+/// whole benchmark suite and hundreds of random programs. The argued
+/// exceptions:
 ///
 ///  * Dead variable elimination, strength reduction and instruction
 ///    selection rewrite or delete plain computations but never touch a
@@ -226,7 +227,9 @@ constexpr uint16_t Invalidates[NumFixpointPasses] = {
 
 /// Runs the configured replication algorithm once. Both algorithms borrow
 /// the manager's shape cache, so JUMPS and LOOPS rounds share dominator and
-/// loop results with each other and with the optimizer's own passes.
+/// loop results with each other and with the optimizer's own passes. The
+/// reference pipeline withholds the shortest-path cache, so JUMPS builds a
+/// fresh step-1 matrix every round.
 static bool runReplication(Function &F, const PipelineOptions &Options,
                            PipelineStats *Stats, AnalysisManager &AM) {
   replicate::ReplicationStats *S =
@@ -239,8 +242,9 @@ static bool runReplication(Function &F, const PipelineOptions &Options,
                                &AM.shapeCache(),
                                Options.Replication.Validator);
   case OptLevel::Jumps:
-    return replicate::runJumps(F, Options.Replication, S, &AM.shortestPaths(),
-                               &AM.shapeCache());
+    return replicate::runJumps(
+        F, Options.Replication, S,
+        Options.Reference ? nullptr : &AM.shortestPaths(), &AM.shapeCache());
   }
   CODEREP_UNREACHABLE("bad optimization level");
 }
@@ -314,7 +318,7 @@ void opt::optimizeFunction(Function &F, const target::Target &T,
   // from one replication invocation to the next (the fixpoint loop's later
   // iterations usually change nothing, so their replication calls
   // revalidate and reuse it).
-  AnalysisManager AM(F, Options.CacheAnalyses, EvSink);
+  AnalysisManager AM(F, /*CacheEnabled=*/!Options.Reference, EvSink);
 
   // The pass instances (stateless apart from configuration).
   std::unique_ptr<Pass> BranchChain = createBranchChainingPass();
@@ -409,27 +413,25 @@ void opt::optimizeFunction(Function &F, const target::Target &T,
     runPass(Phase::InstructionSelection, *InsnSel);
 
   // The fixpoint loop of Figure 3. One lambda per slot, in loop order, so
-  // the scheduled and rerun-everything drivers below execute identical
-  // bodies.
-  // With the fused sweep enabled, the FpLocalCse slot runs the head
-  // segment (CSE + dead variables), the FpBranchChain slot runs the tail
-  // segment (branch chaining + constant folding), and the two subsumed
-  // slots never run (or count) at all; their dirty bits are masked out of
-  // the scheduler below. The matrix rows stay valid because every row
-  // raises the bits {LocalCse, DeadVars, BranchChain, ConstFold} together
-  // - a segment's slot bit is set exactly when both of its sub-passes'
-  // bits would be, so the segment runs its two bodies at exactly the
-  // points the unfused scheduler runs them.
+  // the scheduled and reference drivers below execute identical bodies.
+  // Outside the reference pipeline, the FpLocalCse slot runs the fused
+  // head segment (CSE + dead variables), the FpBranchChain slot runs the
+  // fused tail segment (branch chaining + constant folding), and the two
+  // subsumed slots never run (or count) at all; their dirty bits are
+  // masked out of the scheduler below. The matrix rows stay valid because
+  // every row raises the bits {LocalCse, DeadVars, BranchChain, ConstFold}
+  // together - a segment's slot bit is set exactly when both of its
+  // sub-passes' bits would be, so the segment runs its two bodies at
+  // exactly the points the unfused scheduler runs them.
+  const bool Reference = Options.Reference;
   const uint16_t SubsumedByFused =
-      Options.FusedLocalSweep
-          ? static_cast<uint16_t>(fpBit(FpDeadVars) | fpBit(FpConstFold))
-          : 0;
+      Reference ? 0
+                : static_cast<uint16_t>(fpBit(FpDeadVars) | fpBit(FpConstFold));
   auto runFixpointPass = [&](int P) -> bool {
     switch (P) {
     case FpLocalCse:
-      return Options.FusedLocalSweep
-                 ? runPass(Phase::FusedLocalSweep, *FusedHead)
-                 : runPass(Phase::LocalCse, *Cse);
+      return Reference ? runPass(Phase::LocalCse, *Cse)
+                       : runPass(Phase::FusedLocalSweep, *FusedHead);
     case FpDeadVars:
       return runPass(Phase::DeadVariableElim, *DeadVars);
     case FpCodeMotion:
@@ -439,10 +441,9 @@ void opt::optimizeFunction(Function &F, const target::Target &T,
     case FpInsnSelect:
       return runPass(Phase::InstructionSelection, *InsnSel);
     case FpBranchChain:
-      return Options.FusedLocalSweep
-                 ? runPass(Phase::FusedLocalSweep, *FusedTail,
-                           /*FoldPoint=*/true)
-                 : runPass(Phase::BranchChaining, *BranchChain);
+      return Reference ? runPass(Phase::BranchChaining, *BranchChain)
+                       : runPass(Phase::FusedLocalSweep, *FusedTail,
+                                 /*FoldPoint=*/true);
     case FpConstFold:
       return runPass(Phase::ConstantFolding, *Fold);
     case FpReplicate:
@@ -463,74 +464,56 @@ void opt::optimizeFunction(Function &F, const target::Target &T,
   if (Stats)
     for (int I = 0; I < NumPhases; ++I)
       LoopBase[I] = Stats->PhaseMicros[I];
-  if (Options.ChangeDrivenScheduling) {
-    // Change-driven scheduling: a pass body runs only while its dirty bit
-    // is set; a change raises the dirty bits of every pass it can perturb
-    // (see the Invalidates matrix above). Skipping a clean pass is
-    // equivalent to the legacy loop running it and seeing "no change", so
-    // the function evolves through byte-identical states. Both drivers
-    // execute the same number of rounds (every Invalidates row contains a
-    // bit at or below its own slot, so a change always survives to the
-    // round end, forcing the next round exactly when the legacy loop
-    // reruns); the entire saving is the per-round skips, and in the final
-    // all-clean verification round - where the legacy loop burns the full
-    // battery to discover convergence - the scheduler executes only the
-    // handful of passes the last change could have perturbed.
-    uint16_t Dirty = AllFixpointPasses & static_cast<uint16_t>(~SubsumedByFused);
-    while (Dirty && Iter++ < Options.MaxFixpointIterations) {
-      obs::ScopedTimer IterSpan(
-          EvSink, "fixpoint round", nullptr,
-          EvSink ? format("\"function\": \"%s\", \"round\": %d",
-                          F.Name.c_str(), Iter)
-                 : std::string());
-      CurRound = Iter;
-      for (int P = 0; P < NumFixpointPasses; ++P) {
-        if (SubsumedByFused & fpBit(P))
-          continue; // body runs inside the fused slot; not a skip
-        if (!(Dirty & fpBit(P))) {
-          if (Stats)
-            ++Stats->FixpointPassesSkipped;
-          continue;
-        }
-        Dirty = static_cast<uint16_t>(Dirty & ~fpBit(P));
+  // The reference pipeline is the paper-literal loop: rerun the whole
+  // battery while anything changed. Otherwise a pass body runs only while
+  // its dirty bit is set, and a change raises the dirty bits of every pass
+  // it can perturb (see the Invalidates matrix above). Skipping a clean
+  // pass is equivalent to running it and seeing "no change", so both
+  // drivers walk the function through byte-identical states. They also
+  // execute the same number of rounds: every Invalidates row contains a
+  // bit at or below its own slot, so a change always survives to the
+  // round end and forces the next round exactly when the reference loop
+  // reruns. The entire saving is the per-round skips, and in the final
+  // all-clean round - where the reference burns the full battery to
+  // discover convergence - the scheduler executes only the handful of
+  // passes the last change could have perturbed.
+  uint16_t Dirty = AllFixpointPasses & static_cast<uint16_t>(~SubsumedByFused);
+  bool Changed = true;
+  while ((Reference ? Changed : Dirty != 0) &&
+         Iter < Options.MaxFixpointIterations) {
+    ++Iter;
+    Changed = false;
+    obs::ScopedTimer IterSpan(
+        EvSink, "fixpoint round", nullptr,
+        EvSink ? format("\"function\": \"%s\", \"round\": %d",
+                        F.Name.c_str(), Iter)
+               : std::string());
+    CurRound = Iter;
+    for (int P = 0; P < NumFixpointPasses; ++P) {
+      if (SubsumedByFused & fpBit(P))
+        continue; // body runs inside the fused slot; not a skip
+      if (!Reference && !(Dirty & fpBit(P))) {
         if (Stats)
-          ++Stats->FixpointPassesRun;
-        if (runFixpointPass(P))
-          Dirty |= static_cast<uint16_t>(Invalidates[P] & ~SubsumedByFused);
+          ++Stats->FixpointPassesSkipped;
+        continue;
       }
-      F.verify();
-      if (VS)
-        VS->endRound(Iter, F);
-    }
-    // An empty dirty set means the loop converged: its last round ran
-    // only the still-dirty passes and all of them came back clean (the
-    // cap-exit case leaves bits set and counts no quiescent round).
-    if (!Dirty && Stats)
-      ++Stats->QuiescentRounds;
-  } else {
-    // The paper-literal loop: rerun the whole battery while anything
-    // changes. Kept as the differential-testing oracle for the scheduler.
-    bool Changed = true;
-    while (Changed && Iter++ < Options.MaxFixpointIterations) {
-      Changed = false;
-      obs::ScopedTimer IterSpan(
-          EvSink, "fixpoint round", nullptr,
-          EvSink ? format("\"function\": \"%s\", \"round\": %d",
-                          F.Name.c_str(), Iter)
-                 : std::string());
-      CurRound = Iter;
-      for (int P = 0; P < NumFixpointPasses; ++P) {
-        if (SubsumedByFused & fpBit(P))
-          continue; // body runs inside the fused slot
-        if (Stats)
-          ++Stats->FixpointPassesRun;
-        Changed |= runFixpointPass(P);
+      Dirty = static_cast<uint16_t>(Dirty & ~fpBit(P));
+      if (Stats)
+        ++Stats->FixpointPassesRun;
+      if (runFixpointPass(P)) {
+        Changed = true;
+        Dirty |= static_cast<uint16_t>(Invalidates[P] & ~SubsumedByFused);
       }
-      F.verify();
-      if (VS)
-        VS->endRound(Iter, F);
     }
+    F.verify();
+    if (VS)
+      VS->endRound(Iter, F);
   }
+  // An empty dirty set means the scheduled loop converged: its last round
+  // ran only the still-dirty passes and all of them came back clean (the
+  // cap-exit case leaves bits set and counts no quiescent round).
+  if (!Reference && !Dirty && Stats)
+    ++Stats->QuiescentRounds;
   if (Stats) {
     Stats->FixpointIterations += Iter;
     for (int I = 0; I < NumPhases; ++I)

@@ -28,10 +28,13 @@
 /// registers, so the measured quantities are unaffected.
 ///
 /// Compile-throughput engineering (all byte-identical to the literal
-/// loop, differentially tested against it):
+/// loop, which PipelineOptions::Reference selects and the differential
+/// tests compare against):
 ///  * the fixpoint battery is scheduled by a pass-invalidation matrix with
 ///    per-pass dirty bits, so passes whose inputs no prior change could
 ///    have perturbed are skipped instead of rerun (DESIGN.md section 10);
+///  * the four register-level fixpoint passes run as two fused sweeps;
+///  * analyses are served from a per-function AnalysisManager;
 ///  * optimizeProgram fans independent functions out over a thread pool
 ///    (PipelineOptions::Jobs) with per-task stats merged deterministically;
 ///  * optimized bodies can be memoized in a content-addressed
@@ -182,38 +185,18 @@ struct PipelineOptions {
   /// in function order so they are deterministic too.
   int Jobs = 1;
 
-  /// Schedule fixpoint passes with the pass-invalidation matrix and
-  /// per-pass dirty bits (see DESIGN.md section 10): a pass body runs only
-  /// when some pass that can perturb its input changed the function since
-  /// it last ran clean. false reruns the whole battery every round, which
-  /// is the paper-literal Figure-3 loop and the oracle the scheduled
-  /// pipeline is differentially tested against - output is byte-identical
-  /// either way.
-  bool ChangeDrivenScheduling = true;
-
-  /// Run the four cheap register-level fixpoint passes (local CSE, dead
-  /// variable elimination, branch chaining, constant folding) as two
-  /// FusedLocalSweep segments - one per adjacent pair in the Figure-3
-  /// round - instead of four separately scheduled slots. A segment
-  /// executes the same pass bodies back to back at exactly the points
-  /// the unfused scheduler runs them (their dirty bits move in lockstep,
-  /// see Pipeline.cpp), halving the pass dispatches (timer, commit,
-  /// verifier checkpoint, dirty-bit bookkeeping) those passes pay per
-  /// round. false schedules the individual passes, which is the
-  /// byte-identity oracle the fused sweep is differentially tested
-  /// against (see tests/FusedSweepTest.cpp) - output is byte-identical
-  /// either way, so like ChangeDrivenScheduling this is a non-semantic
-  /// option that is NOT folded into FunctionOptimizationCache keys.
-  bool FusedLocalSweep = true;
-
-  /// Serve CFG/dataflow analyses from the per-function AnalysisManager,
-  /// invalidated by what each pass declares it preserved (DESIGN.md
-  /// section 11). false recomputes every analysis at every query, which is
-  /// the oracle the cached pipeline is differentially tested against -
-  /// output is byte-identical either way, so (like Jobs and
-  /// ChangeDrivenScheduling) this is a non-semantic option that is NOT
-  /// folded into FunctionOptimizationCache content keys.
-  bool CacheAnalyses = true;
+  /// The reference pipeline: the paper-literal Figure-3 loop with none of
+  /// the compile-throughput machinery. Every fixpoint pass reruns every
+  /// round while anything changes (no pass-invalidation scheduling); local
+  /// CSE, dead variable elimination, branch chaining and constant folding
+  /// run as four separate slots (no fused sweep); and every CFG/dataflow
+  /// analysis, the step-1 shortest-path matrix included, is recomputed at
+  /// every query (no analysis cache). The default pipeline is
+  /// differentially tested against this mode (ReferencePipelineTest.cpp)
+  /// and bench_compile uses it as its baseline. Output is byte-identical
+  /// either way, so like Jobs it is NOT folded into
+  /// FunctionOptimizationCache keys.
+  bool Reference = false;
 
   /// When set, optimizeProgram memoizes optimized function bodies keyed by
   /// (post-legalize RTL, target, options) content. Not owned. Hits bypass
@@ -276,6 +259,7 @@ const char *phaseName(Phase P);
 /// shared PipelineStats from more than one thread.
 struct PipelineStats {
   replicate::ReplicationStats Replication;
+  /// Fixpoint rounds executed, at most MaxFixpointIterations per function.
   int FixpointIterations = 0;
   int DelaySlotNops = 0; ///< Nops emitted for unfillable delay slots
 
@@ -286,20 +270,21 @@ struct PipelineStats {
   int SpCacheMisses = 0;
 
   /// Change-driven scheduling counters for the Figure-3 fixpoint loop.
-  /// The scheduled and rerun-everything drivers execute identical round
-  /// counts (a change always leaves a dirty bit that survives its round),
-  /// so unconditionally Run + Skipped == NumFixpointPasses * rounds ==
-  /// the pass bodies the legacy loop executes on the same input: Skipped
-  /// measures exactly the bodies the invalidation matrix avoided. The
-  /// legacy driver counts every body as Run and skips nothing.
+  /// The scheduled and reference drivers execute identical round counts
+  /// (a change always leaves a dirty bit that survives its round). The
+  /// reference counts every body as Run and skips nothing, so its Run ==
+  /// NumFixpointPasses * rounds. The default schedule dispatches two fused
+  /// slots in place of four passes, so its Run + Skipped ==
+  /// (NumFixpointPasses - 2) * rounds, and Skipped counts exactly the
+  /// slots the invalidation matrix avoided.
   int64_t FixpointPassesRun = 0;
   int64_t FixpointPassesSkipped = 0;
 
-  /// Final verification rounds: one per function whose fixpoint loop
-  /// converged within MaxFixpointIterations. The legacy loop burns the
-  /// whole battery on that round to discover that nothing changes; the
-  /// scheduler executes only the passes the last change could have
-  /// perturbed and skips the rest.
+  /// Final verification rounds: one per function whose scheduled fixpoint
+  /// loop converged within MaxFixpointIterations. The reference loop burns
+  /// the whole battery on that round to discover that nothing changes and
+  /// does not count it; the scheduler executes only the passes the last
+  /// change could have perturbed and skips the rest.
   int QuiescentRounds = 0;
 
   /// FunctionOptimizationCache behavior, when one was attached.

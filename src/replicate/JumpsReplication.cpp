@@ -141,13 +141,9 @@ bool JumpsPass::runRound() {
           : std::string());
   // Step 1 once per round. With a cache, a round that follows a round (or
   // an earlier fixpoint iteration) that left the flow graph untouched
-  // reuses the previous matrix, lazily-computed rows included. The dense
-  // baseline mode recomputes eagerly every round, as the paper describes.
-  if (O.DenseShortestPaths) {
-    OwnedSP = std::make_unique<ShortestPaths>(
-        F, ShortestPaths::Strategy::Dense, O.Trace.Sink);
-    RoundSP = OwnedSP.get();
-  } else if (Cache) {
+  // reuses the previous matrix, lazily-computed rows included. Without one
+  // (the reference pipeline) every round builds a fresh matrix.
+  if (Cache) {
     Cache->setTrace(O.Trace.Sink);
     RoundSP = &Cache->get(F);
   } else {

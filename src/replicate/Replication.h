@@ -86,13 +86,6 @@ struct ReplicationOptions {
   /// indirect jumps has not yet been implemented").
   bool AllowIndirectEndings = false;
 
-  /// Compile-time baseline knob: recompute the step-1 matrix eagerly with
-  /// the dense Warshall/Floyd recurrence at the start of every round,
-  /// bypassing the lazy rows and the cross-round cache. Replication
-  /// results are identical either way; bench_compile flips this to
-  /// measure the throughput win of the incremental implementation.
-  bool DenseShortestPaths = false;
-
   /// Observability: when Trace.Sink is set, every examined jump emits a
   /// structured decision record (candidates, costs, fates, rollbacks) and
   /// replication rounds emit nested span events. A default-constructed

@@ -123,9 +123,10 @@ void ShortestPaths::computeRowDijkstra(int From) const {
   R.Hops[From] = 0;
 }
 
-/// The paper's Warshall/Floyd recurrence, kept verbatim as the oracle and
-/// dense baseline. Parent/Hops track the predecessor of V on the U->V
-/// path so path reconstruction works identically to the lazy rows.
+/// The paper's Warshall/Floyd recurrence, kept verbatim as the cost
+/// oracle. Parent/Hops track the predecessor of V on the U->V path so path
+/// reconstruction works as for the lazy rows (though ties between
+/// equal-cost paths may resolve differently).
 void ShortestPaths::computeAllDense() const {
   obs::ScopedTimer Span(Trace, "sp dense rebuild");
   if (Trace) {

@@ -49,7 +49,8 @@ public:
   static constexpr int64_t Inf = INT64_MAX / 4;
 
   /// How the matrix is materialized. Both strategies produce bit-identical
-  /// costs; Lazy is the default, Dense exists as the oracle/baseline.
+  /// costs, but may keep different predecessors among equal-cost paths, so
+  /// only Lazy drives replication; Dense exists as the tests' cost oracle.
   enum class Strategy {
     Lazy, ///< per-source Dijkstra, row computed on first query
     Dense ///< eager Floyd-Warshall over the full matrix

@@ -178,10 +178,13 @@ void CompileServer::readerLoop(Connection *Conn) {
     } else {
       Resp = handle(Req);
     }
-    if (!sendFrame(Conn->Sock.get(), encodeResponse(Resp)))
-      break; // peer gone; the request still ran, drop the response
+    std::string Frame = encodeResponse(Resp);
+    // Count the request before the client can see its reply, so stats()
+    // read after a round trip always includes it.
     noteServed(Req, Resp,
                usBetween(FrameIn, std::chrono::steady_clock::now()));
+    if (!sendFrame(Conn->Sock.get(), Frame))
+      break; // peer gone; the request still ran, drop the response
   }
   Conn->Done.store(true, std::memory_order_release);
 }

@@ -82,13 +82,15 @@ struct ServerOptions {
 
 /// A snapshot of the server's serving counters.
 struct ServerStats {
-  int64_t RequestsServed = 0;  ///< responses written (ok or error)
+  /// Responses produced (ok or error), counted before each is written, so
+  /// a client that has its reply is already included.
+  int64_t RequestsServed = 0;
   int64_t RequestErrors = 0;   ///< responses with status error
   int64_t ProtocolErrors = 0;  ///< frames that failed to decode
   int64_t ConnectionsAccepted = 0;
   int64_t FnCacheHits = 0;     ///< summed over served requests
   int64_t FnCacheMisses = 0;
-  obs::Histogram RequestUs;    ///< frame-in to frame-out, per request
+  obs::Histogram RequestUs;    ///< frame-in to response encoded, per request
   obs::Histogram QueueUs;      ///< enqueue to worker pickup, per request
 
   double hitRate() const {

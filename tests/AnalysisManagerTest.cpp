@@ -5,18 +5,15 @@
 // must be byte-identical to recomputing them at every query. These tests
 // pin the epoch protocol (block mutations and RTL-edit hooks move it,
 // rollback winds it back), the PreservedAnalyses commit filtering, the
-// snapshot/restore path the JUMPS step-6 rollback uses, and the cached
-// pipeline differentially against the always-recompute oracle
-// (PipelineOptions::CacheAnalyses = false) over the whole Table-3 suite and
-// randomized programs - plus the counter identities that make the savings
-// auditable.
+// snapshot/restore path the JUMPS step-6 rollback uses, and the metrics
+// that make the savings auditable. The cached pipeline's byte identity
+// with the always-recompute mode is part of the reference differential
+// (ReferencePipelineTest.cpp).
 //
 //===----------------------------------------------------------------------===//
 
-#include "verify/RandomProgram.h"
 #include "Suite.h"
 #include "cfg/AnalysisCache.h"
-#include "cfg/FunctionPrinter.h"
 #include "driver/Compiler.h"
 #include "obs/Trace.h"
 #include "opt/AnalysisManager.h"
@@ -34,23 +31,6 @@ using namespace coderep::opt;
 using namespace coderep::rtl;
 
 namespace {
-
-const target::TargetKind AllTargets[] = {target::TargetKind::Sparc,
-                                         target::TargetKind::M68};
-const OptLevel AllLevels[] = {OptLevel::Simple, OptLevel::Loops,
-                              OptLevel::Jumps};
-
-std::string compileToText(const std::string &Source, target::TargetKind TK,
-                          OptLevel Level, const PipelineOptions &Override,
-                          PipelineStats *StatsOut = nullptr) {
-  Compilation C = compile(Source, TK, Level, &Override);
-  EXPECT_TRUE(C.ok()) << C.Error;
-  if (!C.ok())
-    return {};
-  if (StatsOut)
-    *StatsOut = C.Pipeline;
-  return cfg::toString(*C.Prog);
-}
 
 /// A two-block function with a conditional loop, enough for every analysis
 /// to have something to say.
@@ -291,98 +271,6 @@ TEST(AnalysisCacheUnit, RestoreReinstatesEntriesAndEpoch) {
   AC.loops();
   EXPECT_EQ(AC.counters().Hits[AnalysisCache::LoopsKind], HitsBefore + 1)
       << "the query after restore must be a hit";
-}
-
-//===----------------------------------------------------------------------===//
-// Differential: cached pipeline vs always-recompute oracle
-//===----------------------------------------------------------------------===//
-
-// The acceptance bar of the whole layer: on every suite program, target and
-// level, the cached pipeline produces byte-identical programs and semantic
-// stats to the always-recompute oracle - while doing measurably less
-// analysis work (the liveness recompute drop is the InsnSelect satellite).
-TEST(AnalysisManagerDiff, CachedVsAlwaysRecomputeByteIdenticalAcrossSuite) {
-  int64_t CachedLivenessRecomputes = 0, OracleLivenessRecomputes = 0;
-  int64_t CachedHits = 0;
-  for (const BenchProgram &BP : suite()) {
-    for (target::TargetKind TK : AllTargets) {
-      for (OptLevel Level : AllLevels) {
-        PipelineOptions Cached; // default: CacheAnalyses on
-        PipelineOptions Oracle;
-        Oracle.CacheAnalyses = false;
-
-        PipelineStats CachedStats, OracleStats;
-        std::string CachedText =
-            compileToText(BP.Source, TK, Level, Cached, &CachedStats);
-        std::string OracleText =
-            compileToText(BP.Source, TK, Level, Oracle, &OracleStats);
-
-        ASSERT_EQ(CachedText, OracleText)
-            << BP.Name << " differs under the analysis cache, level "
-            << optLevelName(Level);
-        EXPECT_EQ(CachedStats.FixpointIterations,
-                  OracleStats.FixpointIterations) << BP.Name;
-        EXPECT_EQ(CachedStats.Replication.JumpsReplaced,
-                  OracleStats.Replication.JumpsReplaced) << BP.Name;
-        EXPECT_EQ(CachedStats.DelaySlotNops, OracleStats.DelaySlotNops)
-            << BP.Name;
-
-        const int LV = static_cast<int>(AnalysisID::Liveness);
-        CachedLivenessRecomputes += CachedStats.Analysis.Recomputes[LV];
-        OracleLivenessRecomputes += OracleStats.Analysis.Recomputes[LV];
-        CachedHits += CachedStats.Analysis.totalHits();
-        // The shortest-paths cache is fingerprint-validated rather than
-        // epoch-based and stays on in oracle mode (seed semantics), so only
-        // the epoch-stamped analyses must show zero oracle hits.
-        for (int I = 0; I < NumAnalysisIDs; ++I) {
-          if (static_cast<AnalysisID>(I) == AnalysisID::ShortestPaths)
-            continue;
-          EXPECT_EQ(OracleStats.Analysis.Hits[I], 0)
-              << BP.Name << ": the oracle must never serve a cached "
-              << analysisName(static_cast<AnalysisID>(I));
-        }
-      }
-    }
-  }
-  EXPECT_GT(CachedHits, 0) << "the cache must serve some queries";
-  EXPECT_LT(CachedLivenessRecomputes, OracleLivenessRecomputes)
-      << "whole-suite liveness recomputes must drop under the cache";
-}
-
-TEST(AnalysisManagerDiff, CachedVsAlwaysRecomputeOnRandomPrograms) {
-  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
-    std::string Source = verify::randomProgram(Seed);
-    target::TargetKind TK =
-        Seed % 2 ? target::TargetKind::Sparc : target::TargetKind::M68;
-    OptLevel Level = AllLevels[Seed % 3];
-
-    PipelineOptions Cached;
-    PipelineOptions Oracle;
-    Oracle.CacheAnalyses = false;
-
-    ASSERT_EQ(compileToText(Source, TK, Level, Cached),
-              compileToText(Source, TK, Level, Oracle))
-        << "seed " << Seed << "\n" << Source;
-  }
-}
-
-// Per-function managers are private to their pipeline task: the parallel
-// driver must hold the same bar with caching on at any worker count. (The
-// ThreadSanitizer CI job runs this test to assert no manager state crosses
-// ThreadPool workers.)
-TEST(AnalysisManagerDiff, CachedParallelMatchesSerialOracle) {
-  PipelineOptions Oracle;
-  Oracle.Jobs = 1;
-  Oracle.CacheAnalyses = false;
-  PipelineOptions CachedParallel;
-  CachedParallel.Jobs = 4;
-  for (const BenchProgram &BP : suite()) {
-    ASSERT_EQ(compileToText(BP.Source, target::TargetKind::Sparc,
-                            OptLevel::Jumps, CachedParallel),
-              compileToText(BP.Source, target::TargetKind::Sparc,
-                            OptLevel::Jumps, Oracle))
-        << BP.Name;
-  }
 }
 
 //===----------------------------------------------------------------------===//

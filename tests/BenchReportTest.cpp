@@ -23,7 +23,7 @@ BenchRecord healthyRecord(int I) {
   BenchRecord R;
   R.Strs["date"] = "2026-08-07T00:00:0" + std::to_string(I % 10) + "Z";
   R.Strs["git_sha"] = "abc1234";
-  R.Nums["jumps_speedup"] = 2.60 + 0.02 * (I % 3);
+  R.Nums["reference_speedup"] = 2.60 + 0.02 * (I % 3);
   R.Nums["verify_final_overhead"] = 29.0 + 0.5 * (I % 2);
   R.Nums["obs_overhead"] = 1.010;
   R.Nums["end_to_end_us"] = 900000.0 + 5000.0 * I;
@@ -41,9 +41,9 @@ std::vector<BenchRecord> healthyHistory(int N) {
 TEST(BenchReportTest, ParsesHistoryLines) {
   std::string Text =
       "{\"date\": \"2026-08-07T16:22:19Z\", \"git_sha\": \"ab527b8\", "
-      "\"jobs\": 1, \"jumps_speedup\": 2.600, \"end_to_end_us\": 906878}\n"
+      "\"jobs\": 1, \"reference_speedup\": 2.600, \"end_to_end_us\": 906878}\n"
       "\n" // blank lines are skipped
-      "{\"git_sha\": \"ab527b8\", \"jumps_speedup\": 2.561, "
+      "{\"git_sha\": \"ab527b8\", \"reference_speedup\": 2.561, "
       "\"nested\": {\"skipped\": [1, 2, {\"deep\": true}]}, "
       "\"flag\": true, \"nothing\": null}\n";
   std::vector<BenchRecord> Records;
@@ -51,7 +51,7 @@ TEST(BenchReportTest, ParsesHistoryLines) {
   ASSERT_TRUE(parseBenchHistory(Text, Records, Err)) << Err;
   ASSERT_EQ(Records.size(), 2u);
   EXPECT_EQ(Records[0].Strs.at("git_sha"), "ab527b8");
-  EXPECT_DOUBLE_EQ(Records[0].Nums.at("jumps_speedup"), 2.600);
+  EXPECT_DOUBLE_EQ(Records[0].Nums.at("reference_speedup"), 2.600);
   EXPECT_DOUBLE_EQ(Records[0].Nums.at("end_to_end_us"), 906878);
   // Nested values are skipped, not errors; booleans become 0/1; null drops.
   EXPECT_EQ(Records[1].Nums.count("nested"), 0u);
@@ -77,7 +77,7 @@ TEST(BenchReportTest, CleanHistoryPasses) {
   EXPECT_EQ(R.LastSha, "abc1234");
   // Gated rows are marked as such; absolute metrics stay informational.
   for (const MetricRow &Row : R.Rows) {
-    if (Row.Name == "jumps_speedup" || Row.Name == "verify_final_overhead" ||
+    if (Row.Name == "reference_speedup" || Row.Name == "verify_final_overhead" ||
         Row.Name == "obs_overhead") {
       EXPECT_TRUE(Row.Gated) << Row.Name;
     } else {
@@ -90,12 +90,12 @@ TEST(BenchReportTest, CleanHistoryPasses) {
 TEST(BenchReportTest, SpeedupDropFlagsRegression) {
   std::vector<BenchRecord> Records = healthyHistory(5);
   BenchRecord Bad = healthyRecord(5);
-  Bad.Nums["jumps_speedup"] = 1.8; // ~31% below the ~2.62 median
+  Bad.Nums["reference_speedup"] = 1.8; // ~31% below the ~2.62 median
   Records.push_back(Bad);
   BenchReportResult R = analyzeHistory(Records);
   EXPECT_FALSE(R.ok());
   ASSERT_EQ(R.Flagged.size(), 1u);
-  EXPECT_EQ(R.Flagged[0], "jumps_speedup");
+  EXPECT_EQ(R.Flagged[0], "reference_speedup");
 }
 
 TEST(BenchReportTest, OverheadGrowthFlagsRegression) {
@@ -121,7 +121,7 @@ TEST(BenchReportTest, AbsoluteMetricSwingsDoNotGate) {
 TEST(BenchReportTest, ImprovementsDoNotFlag) {
   std::vector<BenchRecord> Records = healthyHistory(5);
   BenchRecord Fast = healthyRecord(5);
-  Fast.Nums["jumps_speedup"] = 5.0;          // higher is better
+  Fast.Nums["reference_speedup"] = 5.0;          // higher is better
   Fast.Nums["verify_final_overhead"] = 10.0; // lower is better
   Records.push_back(Fast);
   EXPECT_TRUE(analyzeHistory(Records).ok());
@@ -130,7 +130,7 @@ TEST(BenchReportTest, ImprovementsDoNotFlag) {
 TEST(BenchReportTest, ThresholdAndWindowAreHonored) {
   std::vector<BenchRecord> Records = healthyHistory(5);
   BenchRecord Bad = healthyRecord(5);
-  Bad.Nums["jumps_speedup"] = 2.3; // ~12% below the median
+  Bad.Nums["reference_speedup"] = 2.3; // ~12% below the median
   Records.push_back(Bad);
   ReportOptions Tight;
   Tight.ThresholdPct = 5.0;
@@ -183,14 +183,14 @@ TEST(BenchReportTest, MarkdownCarriesVerdictAndRows) {
   std::vector<BenchRecord> Records = healthyHistory(5);
   std::string Ok = renderMarkdown(analyzeHistory(Records));
   EXPECT_NE(Ok.find("# Bench history report"), std::string::npos);
-  EXPECT_NE(Ok.find("| jumps_speedup |"), std::string::npos);
+  EXPECT_NE(Ok.find("| reference_speedup |"), std::string::npos);
   EXPECT_NE(Ok.find("Verdict: **ok**"), std::string::npos);
   EXPECT_EQ(Ok.find("REGRESSION"), std::string::npos);
 
   seedSyntheticRegression(Records);
   std::string Bad = renderMarkdown(analyzeHistory(Records));
   EXPECT_NE(Bad.find("Verdict: **REGRESSION**"), std::string::npos);
-  EXPECT_NE(Bad.find("jumps_speedup"), std::string::npos);
+  EXPECT_NE(Bad.find("reference_speedup"), std::string::npos);
 }
 
 } // namespace

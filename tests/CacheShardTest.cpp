@@ -4,7 +4,8 @@
 // shard layout, LRU-by-mtime eviction under a byte budget, and
 // cross-process safety - two forked processes hammering one store must
 // never produce a torn entry, and a fresh reader must hit only complete
-// files.
+// files - plus the strict parsing of the --jobs/--cache-budget values that
+// configure it.
 //
 // Deliberately named so it does NOT match the TSan matrix filter: the
 // multi-process test forks, and fork() plus the TSan runtime do not mix.
@@ -13,6 +14,7 @@
 
 #include "Suite.h"
 #include "cache/CompileCache.h"
+#include "cache/PipelineCli.h"
 #include "cfg/FunctionPrinter.h"
 #include "driver/Compiler.h"
 
@@ -242,6 +244,40 @@ TEST(CacheShardMultiProcess, ConcurrentWritersNeverTearEntries) {
   EXPECT_GT(Reader.diskHits(), 0);
   EXPECT_EQ(Reader.misses(), 0);
   fs::remove_all(Dir);
+}
+
+// The shared pipeline flags parse their numbers strictly. A malformed value
+// is left unconsumed, so the binary rejects it as an unknown option instead
+// of misreading it ("--cache-budget=1.5G" must not become a 1-byte budget
+// that evicts every entry, nor "--jobs=abc" mean every core).
+TEST(CacheShard, PipelineCliRejectsMalformedNumbers) {
+  cache::PipelineCli Cli;
+  EXPECT_TRUE(Cli.consume("--jobs=3"));
+  EXPECT_EQ(Cli.jobs(), 3);
+  for (const char *Bad : {"--jobs=abc", "--jobs=", "--jobs=-2", "--jobs=+2",
+                          "--jobs=4x", "--jobs=99999999999"})
+    EXPECT_FALSE(Cli.consume(Bad)) << Bad;
+  EXPECT_EQ(Cli.jobs(), 3) << "a rejected value must leave the state alone";
+  EXPECT_TRUE(Cli.consume("--jobs"));
+  EXPECT_EQ(Cli.jobs(), 0);
+
+  EXPECT_TRUE(Cli.consume("--cache-budget=256M"));
+  EXPECT_FALSE(Cli.consume("--cache-budget=1.5G"));
+
+  const std::pair<const char *, int64_t> Good[] = {
+      {"0", 0}, {"4096", 4096}, {"64k", 64 << 10}, {"8M", 8 << 20},
+      {"1G", int64_t(1) << 30}};
+  for (const auto &[Text, Want] : Good) {
+    int64_t Bytes = -1;
+    EXPECT_TRUE(cache::PipelineCli::parseBytes(Text, Bytes)) << Text;
+    EXPECT_EQ(Bytes, Want) << Text;
+  }
+  for (const char *Bad :
+       {"", "1.5G", "-1", "10X", "G", "1GB", "99999999999999G"}) {
+    int64_t Bytes = -1;
+    EXPECT_FALSE(cache::PipelineCli::parseBytes(Bad, Bytes)) << Bad;
+    EXPECT_EQ(Bytes, -1) << Bad;
+  }
 }
 
 } // namespace

@@ -1,19 +1,18 @@
 //===- ParallelPipelineTest.cpp - Parallel driver, scheduler, cache ----------===//
 //
 // The throughput machinery of the Figure-3 pipeline holds one bar: output
-// bytes must be identical to the serial, rerun-everything, uncached
-// pipeline in every configuration. These tests pin that bar across
+// bytes must be identical to the serial, uncached pipeline in every
+// configuration. These tests pin that bar across
 //
 //  * the parallel function-level driver (--jobs) on the whole Table-3
 //    suite at every level and target,
-//  * the pass-invalidation-matrix scheduler, differentially against the
-//    paper-literal rerun-everything oracle on randomized programs,
 //  * the content-addressed function cache, in memory and through its
 //    on-disk persistence,
 //
-// plus the counter identities that make the savings auditable: scheduled
-// run+skipped pass bodies equal the oracle's run count, and cache hits
-// replay semantic counters while work counters stay zero.
+// plus the counters that make the savings auditable: the scheduler's
+// skipped passes and quiescent rounds, and cache hits that replay semantic
+// counters while work counters stay zero. The scheduler itself is checked
+// against the reference pipeline in ReferencePipelineTest.cpp.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +23,6 @@
 #include "frontend/CodeGen.h"
 #include "obs/Trace.h"
 #include "opt/Pipeline.h"
-#include "verify/RandomProgram.h"
 
 #include <gtest/gtest.h>
 
@@ -138,45 +136,6 @@ TEST(ParallelPipeline, StatsMergeIsElementWise) {
   EXPECT_EQ(A.DelaySlotNops, 6);
   EXPECT_EQ(A.Replication.JumpsReplaced, 8);
   EXPECT_EQ(A.PhaseMicros[0], 150);
-}
-
-// The scheduler's differential oracle: on randomized programs, the
-// invalidation-matrix pipeline must produce byte-identical programs to the
-// paper-literal rerun-everything loop, and its run+skipped counters must
-// account for exactly the oracle's executed pass bodies.
-TEST(ParallelPipeline, SchedulerMatchesRerunEverythingOracle) {
-  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
-    std::string Source = verify::randomProgram(Seed);
-    target::TargetKind TK =
-        Seed % 2 ? target::TargetKind::Sparc : target::TargetKind::M68;
-
-    opt::PipelineOptions Scheduled; // default: ChangeDrivenScheduling on
-    opt::PipelineOptions Oracle;
-    Oracle.ChangeDrivenScheduling = false;
-
-    opt::PipelineStats SchedStats, OracleStats;
-    std::string SchedText = compileToText(Source, TK, opt::OptLevel::Jumps,
-                                          Scheduled, &SchedStats);
-    std::string OracleText = compileToText(Source, TK, opt::OptLevel::Jumps,
-                                           Oracle, &OracleStats);
-
-    ASSERT_EQ(SchedText, OracleText) << "seed " << Seed << "\n" << Source;
-    // Identical round counts, so run+skipped accounts for every body the
-    // oracle executed, and the skips are pure savings.
-    EXPECT_EQ(SchedStats.FixpointIterations, OracleStats.FixpointIterations)
-        << "seed " << Seed;
-    EXPECT_EQ(SchedStats.FixpointPassesRun + SchedStats.FixpointPassesSkipped,
-              OracleStats.FixpointPassesRun)
-        << "seed " << Seed;
-    EXPECT_EQ(OracleStats.FixpointPassesSkipped, 0) << "seed " << Seed;
-    EXPECT_LE(SchedStats.FixpointPassesRun, OracleStats.FixpointPassesRun)
-        << "seed " << Seed;
-    // Semantic results agree too.
-    EXPECT_EQ(SchedStats.Replication.JumpsReplaced,
-              OracleStats.Replication.JumpsReplaced) << "seed " << Seed;
-    EXPECT_EQ(SchedStats.DelaySlotNops, OracleStats.DelaySlotNops)
-        << "seed " << Seed;
-  }
 }
 
 // Suite programs converge well under the iteration cap, so every function
@@ -350,27 +309,6 @@ TEST(ParallelPipeline, LruEvictsBeyondCapacity) {
       compileToText(BP.Source, TK, L, Opts);
   EXPECT_LE(Tiny.entries(), 2u);
   EXPECT_GT(Tiny.evictions(), 0);
-}
-
-// Cache + parallel driver + scheduler together still hold the bar, and the
-// whole stack agrees with the plain serial pipeline.
-TEST(ParallelPipeline, FullStackMatchesPlainSerialPipeline) {
-  cache::PipelineCache Cache;
-  for (const BenchProgram &BP : suite()) {
-    opt::PipelineOptions Plain;
-    Plain.Jobs = 1;
-    Plain.ChangeDrivenScheduling = false;
-
-    opt::PipelineOptions Stack;
-    Stack.Jobs = 4;
-    Stack.FunctionCache = &Cache;
-
-    EXPECT_EQ(compileToText(BP.Source, target::TargetKind::Sparc,
-                            opt::OptLevel::Jumps, Plain),
-              compileToText(BP.Source, target::TargetKind::Sparc,
-                            opt::OptLevel::Jumps, Stack))
-        << BP.Name;
-  }
 }
 
 } // namespace

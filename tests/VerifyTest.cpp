@@ -168,9 +168,9 @@ TEST(Verify, MutationIsCaughtAndAttributedAtPassGranularity) {
   opt::PipelineOptions Opts;
   Opts.Verifier = &O;
   Opts.MutateForTesting = true;
-  // Drive the unfused schedule so every register pass is its own
+  // Drive the reference pipeline so every register pass is its own
   // checkpoint - the finest attribution the pipeline offers.
-  Opts.FusedLocalSweep = false;
+  Opts.Reference = true;
   Compilation C = compile(MutationVictim, target::TargetKind::M68,
                           opt::OptLevel::Jumps, &Opts);
   ASSERT_TRUE(C.ok()) << C.Error;
@@ -192,7 +192,7 @@ TEST(Verify, MutationUnderFusedSweepIsAttributedToTheFusedSlot) {
   opt::PipelineOptions Opts;
   Opts.Verifier = &O;
   Opts.MutateForTesting = true;
-  ASSERT_TRUE(Opts.FusedLocalSweep); // the default schedule
+  ASSERT_FALSE(Opts.Reference); // the default schedule
   Compilation C = compile(MutationVictim, target::TargetKind::M68,
                           opt::OptLevel::Jumps, &Opts);
   ASSERT_TRUE(C.ok()) << C.Error;
