@@ -8,6 +8,9 @@
 #include "BenchReport.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -25,12 +28,7 @@ struct GateSpec {
 };
 constexpr GateSpec Gates[] = {
     {"reference_speedup", /*LowerIsBetter=*/false},
-    {"verify_final_overhead", /*LowerIsBetter=*/true},
     {"obs_overhead", /*LowerIsBetter=*/true},
-    // Tail blow-up of the compile-server sweep: p99/p50 of request latency.
-    // Absolute latencies are machine-bound; the ratio flags queueing or
-    // lock pathologies that widen the tail relative to the median.
-    {"server_tail_ratio", /*LowerIsBetter=*/true},
 };
 
 const GateSpec *gateFor(const std::string &Name) {
@@ -182,6 +180,11 @@ private:
   }
 };
 
+std::string shaOf(const BenchRecord &R) {
+  auto It = R.Strs.find("git_sha");
+  return It == R.Strs.end() ? std::string() : It->second;
+}
+
 double median(std::vector<double> V) {
   std::sort(V.begin(), V.end());
   size_t N = V.size();
@@ -199,6 +202,34 @@ std::string fmtValue(double V) {
 }
 
 } // namespace
+
+bool parseReportFlag(const std::string &Arg, ReportOptions &Opts) {
+  auto valueOf = [&](const char *Prefix) -> const char * {
+    size_t N = std::strlen(Prefix);
+    if (Arg.compare(0, N, Prefix) != 0)
+      return nullptr;
+    const char *V = Arg.c_str() + N;
+    // A digit first rules out "", signs, blanks, "inf" and "nan".
+    return std::isdigit(static_cast<unsigned char>(*V)) ? V : nullptr;
+  };
+  char *End = nullptr;
+  errno = 0;
+  if (const char *V = valueOf("--threshold=")) {
+    double Pct = std::strtod(V, &End);
+    if (*End || errno == ERANGE || Pct <= 0)
+      return false;
+    Opts.ThresholdPct = Pct;
+    return true;
+  }
+  if (const char *V = valueOf("--window=")) {
+    long N = std::strtol(V, &End, 10);
+    if (*End || errno == ERANGE || N < 1 || N > INT_MAX)
+      return false;
+    Opts.Window = static_cast<int>(N);
+    return true;
+  }
+  return false;
+}
 
 bool parseBenchHistory(const std::string &Text,
                        std::vector<BenchRecord> &Records, std::string &Err) {
@@ -234,18 +265,22 @@ BenchReportResult analyzeHistory(const std::vector<BenchRecord> &Records,
     return R;
 
   const BenchRecord &Last = Records.back();
-  auto Sha = Last.Strs.find("git_sha");
+  R.LastSha = shaOf(Last);
   auto Date = Last.Strs.find("date");
-  if (Sha != Last.Strs.end())
-    R.LastSha = Sha->second;
   if (Date != Last.Strs.end())
     R.LastDate = Date->second;
 
-  size_t WindowBegin =
-      Records.size() > size_t(Opts.Window) + 1
-          ? Records.size() - 1 - size_t(Opts.Window)
-          : 0;
-  R.WindowUsed = Records.size() - 1 - WindowBegin;
+  // The window: the Opts.Window most recent SHAs other than the last
+  // record's own, each with every record measured at it.
+  std::map<std::string, std::vector<const BenchRecord *>> Window;
+  for (size_t I = Records.size() - 1; I-- > 0;) {
+    std::string Sha = shaOf(Records[I]);
+    if (Sha == R.LastSha ||
+        (!Window.count(Sha) && Window.size() == size_t(Opts.Window)))
+      continue;
+    Window[Sha].push_back(&Records[I]);
+  }
+  R.WindowUsed = Window.size();
 
   for (const auto &KV : Last.Nums) {
     MetricRow Row;
@@ -255,15 +290,20 @@ BenchReportResult analyzeHistory(const std::vector<BenchRecord> &Records,
       Row.Gated = true;
       Row.LowerIsBetter = G->LowerIsBetter;
     }
-    std::vector<double> Prior;
-    for (size_t I = WindowBegin; I + 1 < Records.size(); ++I) {
-      auto It = Records[I].Nums.find(Row.Name);
-      if (It != Records[I].Nums.end())
-        Prior.push_back(It->second);
+    std::vector<double> PerSha;
+    for (const auto &[Sha, Group] : Window) {
+      std::vector<double> Values;
+      for (const BenchRecord *Rec : Group) {
+        auto It = Rec->Nums.find(Row.Name);
+        if (It != Rec->Nums.end())
+          Values.push_back(It->second);
+      }
+      if (!Values.empty())
+        PerSha.push_back(median(std::move(Values)));
     }
-    if (!Prior.empty()) {
+    if (!PerSha.empty()) {
       Row.HasBaseline = true;
-      Row.Baseline = median(std::move(Prior));
+      Row.Baseline = median(std::move(PerSha));
       if (Row.Baseline != 0.0)
         Row.DeltaPct = 100.0 * (Row.Last - Row.Baseline) / Row.Baseline;
       if (Row.Gated) {
@@ -285,7 +325,8 @@ std::string renderMarkdown(const BenchReportResult &R,
   Out += "# Bench history report\n\n";
   std::snprintf(Buf, sizeof(Buf),
                 "Last run: `%s` (%s), compared against the median of the "
-                "previous %zu record(s); %zu record(s) total.\n\n",
+                "previous %zu git SHA(s), one value per SHA; %zu record(s) "
+                "total.\n\n",
                 R.LastSha.empty() ? "?" : R.LastSha.c_str(),
                 R.LastDate.empty() ? "?" : R.LastDate.c_str(), R.WindowUsed,
                 R.RecordCount);

@@ -9,10 +9,9 @@
 /// Parses the append-only BENCH_history.jsonl that bench_compile grows one
 /// line per run, compares the newest record against a median-of-window
 /// baseline, and flags regressions. Only machine-normalized ratio metrics
-/// gate (reference_speedup, verify_final_overhead, obs_overhead,
-/// server_tail_ratio): absolute
-/// microsecond totals vary with the machine the history was recorded on,
-/// so those are reported as informational deltas only.
+/// gate (reference_speedup, obs_overhead): absolute microsecond totals vary
+/// with the machine the history was recorded on, so those are reported as
+/// informational deltas only.
 ///
 /// The analysis is a plain function over parsed records so both the
 /// bench_report tool and the unit tests can drive it without touching the
@@ -45,9 +44,17 @@ struct ReportOptions {
   /// A gated metric moving more than this many percent against its good
   /// direction fails the report.
   double ThresholdPct = 10.0;
-  /// Baseline is the median of up to this many records preceding the last.
+  /// Baseline is the median over up to this many git SHAs preceding the
+  /// last record's own SHA, each SHA contributing the median of its
+  /// records, so repeated runs at one commit weigh as one.
   int Window = 5;
 };
+
+/// Applies one "--threshold=PCT" or "--window=N" flag to \p Opts. Returns
+/// false, leaving \p Opts untouched, when \p Arg is neither flag or its
+/// value is malformed: PCT must be a positive decimal number and N a
+/// positive integer, with nothing after either.
+bool parseReportFlag(const std::string &Arg, ReportOptions &Opts);
 
 /// One metric's comparison of the last record against the window median.
 struct MetricRow {
@@ -65,14 +72,14 @@ struct BenchReportResult {
   std::vector<MetricRow> Rows; ///< Sorted by metric name.
   std::vector<std::string> Flagged; ///< Names of flagged rows.
   size_t RecordCount = 0;
-  size_t WindowUsed = 0;    ///< Records actually in the baseline window.
+  size_t WindowUsed = 0;    ///< Git SHAs actually in the baseline window.
   std::string LastSha, LastDate;
   bool ok() const { return Flagged.empty(); }
 };
 
 /// Compares the last record in \p Records against the median of the
-/// preceding window. With fewer than two records every row is baseline-less
-/// and nothing can flag.
+/// preceding window. When no earlier record has a different git SHA, every
+/// row is baseline-less and nothing can flag.
 BenchReportResult analyzeHistory(const std::vector<BenchRecord> &Records,
                                  const ReportOptions &Opts = {});
 
@@ -81,9 +88,10 @@ BenchReportResult analyzeHistory(const std::vector<BenchRecord> &Records,
 std::string renderMarkdown(const BenchReportResult &R,
                            const ReportOptions &Opts = {});
 
-/// Appends a copy of the last record with every gated metric pushed well
-/// past the threshold in its bad direction. Used by --self-check and the
-/// unit tests to prove the detector detects.
+/// Appends a copy of the last record, under its own git SHA ("synthetic")
+/// so the records before it form its baseline, with every gated metric
+/// pushed well past the threshold in its bad direction. Used by
+/// --self-check and the unit tests to prove the detector detects.
 void seedSyntheticRegression(std::vector<BenchRecord> &Records);
 
 } // namespace coderep::bench

@@ -57,6 +57,7 @@ int main() {
                    (static_cast<double>(J.Caches[0].FetchCost) -
                     static_cast<double>(S.Caches[0].FetchCost)) /
                    static_cast<double>(S.Caches[0].FetchCost);
+      Replaced += J.Pipeline.Replication.JumpsReplaced;
       ++N;
     }
     Table.addRow({Cap < 0 ? "unlimited" : format("%lld",

@@ -21,7 +21,6 @@
 #include "BenchReport.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -30,14 +29,14 @@ using namespace coderep::bench;
 namespace {
 
 int selfCheck(const ReportOptions &Opts) {
-  // A short healthy series: the detector must stay quiet on it...
+  // A short healthy series, one record per commit: the detector must stay
+  // quiet on it...
   std::vector<BenchRecord> Records;
   for (int I = 0; I < 4; ++I) {
     BenchRecord R;
-    R.Strs["git_sha"] = "selfcheck";
+    R.Strs["git_sha"] = "selfcheck" + std::to_string(I);
     R.Strs["date"] = "2026-01-01T00:00:00Z";
     R.Nums["reference_speedup"] = 1.25 + 0.01 * I;
-    R.Nums["verify_final_overhead"] = 30.0 - 0.1 * I;
     R.Nums["obs_overhead"] = 1.01;
     R.Nums["end_to_end_us"] = 900000 + 1000 * I;
     Records.push_back(std::move(R));
@@ -47,12 +46,16 @@ int selfCheck(const ReportOptions &Opts) {
     std::fprintf(stderr, "self-check FAILED: clean series was flagged\n");
     return 1;
   }
-  // ...and must fire once a synthetic regression is appended.
+  // ...and every gate must fire once a synthetic regression is appended.
   seedSyntheticRegression(Records);
   BenchReportResult Bad = analyzeHistory(Records, Opts);
-  if (Bad.ok()) {
-    std::fprintf(stderr,
-                 "self-check FAILED: seeded regression went undetected\n");
+  size_t Gated = 0;
+  for (const MetricRow &Row : Bad.Rows)
+    Gated += Row.Gated;
+  if (Gated == 0 || Bad.Flagged.size() != Gated) {
+    std::fprintf(stderr, "self-check FAILED: the seeded regression tripped "
+                         "%zu of %zu gate(s)\n",
+                 Bad.Flagged.size(), Gated);
     return 1;
   }
   std::printf("self-check ok: clean series passes, seeded regression is "
@@ -70,10 +73,8 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    if (Arg.rfind("--threshold=", 0) == 0)
-      Opts.ThresholdPct = std::atof(Arg.c_str() + 12);
-    else if (Arg.rfind("--window=", 0) == 0)
-      Opts.Window = std::atoi(Arg.c_str() + 9);
+    if (parseReportFlag(Arg, Opts))
+      ; // handled
     else if (Arg.rfind("--markdown-out=", 0) == 0)
       MarkdownOut = Arg.substr(15);
     else if (Arg == "--self-check")
@@ -86,11 +87,6 @@ int main(int Argc, char **Argv) {
     } else
       Path = Arg;
   }
-  if (Opts.ThresholdPct <= 0 || Opts.Window < 1) {
-    std::fprintf(stderr, "bench_report: threshold must be > 0, window >= 1\n");
-    return 2;
-  }
-
   if (SelfCheck)
     return selfCheck(Opts);
 

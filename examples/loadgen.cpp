@@ -11,10 +11,11 @@
 //
 // Usage:
 //   loadgen --socket=PATH [--requests=N] [--jobs=N] [--seeds=N] [--check]
-//           [--min-hit-rate=X] [--history=FILE]
+//           [--min-hit-rate=X]
 //
 // Exit status: 0 on success; 1 when any round-trip failed, any --check
-// mismatched, or the hit rate fell below --min-hit-rate.
+// mismatched, or the hit rate fell below --min-hit-rate (a number in
+// [0, 1]); 2 on a usage error.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +30,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <string>
@@ -53,10 +53,21 @@ int64_t nowUs() {
       .count();
 }
 
+/// Parses a hit rate: a decimal number in [0, 1] with nothing after it.
+/// Returns false, leaving \p Out untouched, on anything else.
+bool parseRate(const char *S, double &Out) {
+  char *End = nullptr;
+  double V = std::strtod(S, &End);
+  if (End == S || *End || !(V >= 0.0 && V <= 1.0))
+    return false;
+  Out = V;
+  return true;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
-  std::string SocketPath, HistoryPath;
+  std::string SocketPath;
   int Requests = 200, Jobs = 4, Seeds = 8;
   bool Check = false;
   double MinHitRate = -1.0;
@@ -76,10 +87,9 @@ int main(int Argc, char **Argv) {
       ; // handled
     else if (Arg == "--check")
       Check = true;
-    else if (Arg.rfind("--min-hit-rate=", 0) == 0)
-      MinHitRate = std::atof(Arg.c_str() + 15);
-    else if (Arg.rfind("--history=", 0) == 0)
-      HistoryPath = Arg.substr(10);
+    else if (Arg.rfind("--min-hit-rate=", 0) == 0 &&
+             parseRate(Arg.c_str() + 15, MinHitRate))
+      ; // handled
     else {
       std::fprintf(stderr, "unknown option %s\n", Arg.c_str());
       return 2;
@@ -88,7 +98,7 @@ int main(int Argc, char **Argv) {
   if (SocketPath.empty() || Requests <= 0 || Jobs <= 0) {
     std::fprintf(stderr,
                  "usage: loadgen --socket=PATH [--requests=N] [--jobs=N] "
-                 "[--seeds=N] [--check] [--min-hit-rate=X] [--history=FILE]\n");
+                 "[--seeds=N] [--check] [--min-hit-rate=X]\n");
     return 2;
   }
 
@@ -201,15 +211,6 @@ int main(int Argc, char **Argv) {
               static_cast<long long>(Sum.FnMisses));
   if (!Sum.FirstError.empty())
     std::fprintf(stderr, "loadgen: first error: %s\n", Sum.FirstError.c_str());
-
-  if (!HistoryPath.empty()) {
-    std::ofstream Out(HistoryPath, std::ios::app);
-    Out << "{\"requests\": " << Latency.count() << ", \"jobs\": " << Jobs
-        << ", \"p50_us\": " << Latency.quantile(0.5)
-        << ", \"p99_us\": " << Latency.quantile(0.99)
-        << ", \"throughput_rps\": " << Throughput
-        << ", \"hit_rate\": " << HitRate << "}\n";
-  }
 
   if (Sum.Errors > 0 || Sum.Mismatches > 0)
     return 1;

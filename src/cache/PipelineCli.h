@@ -6,9 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The throughput counterpart of obs::ObsCli: every example and bench
-/// binary exposes the same pipeline-speed flags, and this header is the
-/// one place that parses them and owns the resulting cache:
+/// The throughput counterpart of obs::ObsCli: the compiling examples
+/// (minic_compiler, inspect_replication, cache_study, codrepd) expose the
+/// same pipeline-speed flags, and this header is the one place that parses
+/// them and owns the resulting cache:
 ///
 ///   --jobs=N              optimize N functions concurrently
 ///                         (N=0 or omitted value = hardware concurrency;

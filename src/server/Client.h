@@ -7,8 +7,8 @@
 ///
 /// \file
 /// The client half of the compile-server protocol, used by
-/// examples/loadgen, the server tests and bench_compile's server sweep:
-/// one persistent connection, lockstep request/response round-trips.
+/// examples/loadgen and the server tests: one persistent connection,
+/// lockstep request/response round-trips.
 /// Thread model: one Client per thread; concurrency comes from many
 /// clients, mirroring how real tenants use the daemon.
 ///

@@ -1,9 +1,10 @@
 //===- BenchReportTest.cpp - Bench-history analyzer tests -----------------===//
 //
 // Covers bench::BenchReport: the flat-JSONL parser (including nested
-// values to skip and malformed input), the median-of-window baseline, the
-// regression gate on machine-normalized ratio metrics (and only those),
-// the seeded-synthetic-regression self-check, and the markdown rendering.
+// values to skip and malformed input), the median-of-window baseline with
+// one value per git SHA, the regression gate on machine-normalized ratio
+// metrics (and only those), the strict --threshold=/--window= flags, the
+// seeded-synthetic-regression self-check, and the markdown rendering.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,11 +19,13 @@ using namespace coderep::bench;
 
 namespace {
 
-/// A healthy history line resembling what bench_compile appends.
+/// A healthy history line resembling what bench_compile appends, one
+/// commit per record. verify_final_overhead, a ratio older records carry,
+/// is not gated: it only informs.
 BenchRecord healthyRecord(int I) {
   BenchRecord R;
   R.Strs["date"] = "2026-08-07T00:00:0" + std::to_string(I % 10) + "Z";
-  R.Strs["git_sha"] = "abc1234";
+  R.Strs["git_sha"] = "abc123" + std::to_string(I);
   R.Nums["reference_speedup"] = 2.60 + 0.02 * (I % 3);
   R.Nums["verify_final_overhead"] = 29.0 + 0.5 * (I % 2);
   R.Nums["obs_overhead"] = 1.010;
@@ -74,11 +77,10 @@ TEST(BenchReportTest, CleanHistoryPasses) {
   EXPECT_TRUE(R.ok());
   EXPECT_EQ(R.RecordCount, 6u);
   EXPECT_EQ(R.WindowUsed, 5u);
-  EXPECT_EQ(R.LastSha, "abc1234");
+  EXPECT_EQ(R.LastSha, "abc1235");
   // Gated rows are marked as such; absolute metrics stay informational.
   for (const MetricRow &Row : R.Rows) {
-    if (Row.Name == "reference_speedup" || Row.Name == "verify_final_overhead" ||
-        Row.Name == "obs_overhead") {
+    if (Row.Name == "reference_speedup" || Row.Name == "obs_overhead") {
       EXPECT_TRUE(Row.Gated) << Row.Name;
     } else {
       EXPECT_FALSE(Row.Gated) << Row.Name;
@@ -101,12 +103,12 @@ TEST(BenchReportTest, SpeedupDropFlagsRegression) {
 TEST(BenchReportTest, OverheadGrowthFlagsRegression) {
   std::vector<BenchRecord> Records = healthyHistory(5);
   BenchRecord Bad = healthyRecord(5);
-  Bad.Nums["verify_final_overhead"] = 40.0; // lower-is-better, +37%
+  Bad.Nums["obs_overhead"] = 1.2; // lower-is-better, +19%
   Records.push_back(Bad);
   BenchReportResult R = analyzeHistory(Records);
   EXPECT_FALSE(R.ok());
   ASSERT_EQ(R.Flagged.size(), 1u);
-  EXPECT_EQ(R.Flagged[0], "verify_final_overhead");
+  EXPECT_EQ(R.Flagged[0], "obs_overhead");
 }
 
 TEST(BenchReportTest, AbsoluteMetricSwingsDoNotGate) {
@@ -121,8 +123,8 @@ TEST(BenchReportTest, AbsoluteMetricSwingsDoNotGate) {
 TEST(BenchReportTest, ImprovementsDoNotFlag) {
   std::vector<BenchRecord> Records = healthyHistory(5);
   BenchRecord Fast = healthyRecord(5);
-  Fast.Nums["reference_speedup"] = 5.0;          // higher is better
-  Fast.Nums["verify_final_overhead"] = 10.0; // lower is better
+  Fast.Nums["reference_speedup"] = 5.0; // higher is better
+  Fast.Nums["obs_overhead"] = 1.0;      // lower is better
   Records.push_back(Fast);
   EXPECT_TRUE(analyzeHistory(Records).ok());
 }
@@ -143,6 +145,61 @@ TEST(BenchReportTest, ThresholdAndWindowAreHonored) {
   OneBack.Window = 1;
   BenchReportResult R = analyzeHistory(Records, OneBack);
   EXPECT_EQ(R.WindowUsed, 1u);
+}
+
+TEST(BenchReportTest, BaselineCountsOneValuePerSha) {
+  auto record = [](const std::string &Sha, double Speedup) {
+    BenchRecord R;
+    R.Strs["git_sha"] = Sha;
+    R.Nums["reference_speedup"] = Speedup;
+    return R;
+  };
+  // Four commits at 2.6, then eleven reruns of one commit on a slow day:
+  // the reruns weigh as one SHA, so the window still sees 2.6 and the
+  // newest record's drop to 2.0 flags.
+  std::vector<BenchRecord> Records;
+  for (const char *Sha : {"c1", "c2", "c3", "c4"})
+    Records.push_back(record(Sha, 2.6));
+  for (int I = 0; I < 11; ++I)
+    Records.push_back(record("burst", 2.0));
+  Records.push_back(record("head", 2.0));
+  BenchReportResult R = analyzeHistory(Records);
+  EXPECT_EQ(R.WindowUsed, 5u);
+  ASSERT_EQ(R.Rows.size(), 1u);
+  EXPECT_DOUBLE_EQ(R.Rows[0].Baseline, 2.6);
+  EXPECT_FALSE(R.ok());
+
+  // Earlier records at the newest record's own SHA are not its baseline.
+  Records = {record("c1", 2.6), record("c2", 2.6), record("head", 2.0),
+             record("head", 2.0), record("head", 2.0)};
+  R = analyzeHistory(Records);
+  EXPECT_EQ(R.WindowUsed, 2u);
+  ASSERT_EQ(R.Rows.size(), 1u);
+  EXPECT_DOUBLE_EQ(R.Rows[0].Baseline, 2.6);
+  EXPECT_FALSE(R.ok());
+
+  // A history at one SHA has no baseline at all.
+  R = analyzeHistory({record("head", 2.6), record("head", 1.0)});
+  EXPECT_EQ(R.WindowUsed, 0u);
+  EXPECT_TRUE(R.ok());
+}
+
+TEST(BenchReportTest, ReportFlagsAreStrict) {
+  ReportOptions Opts;
+  EXPECT_TRUE(parseReportFlag("--threshold=2.5", Opts));
+  EXPECT_DOUBLE_EQ(Opts.ThresholdPct, 2.5);
+  EXPECT_TRUE(parseReportFlag("--window=3", Opts));
+  EXPECT_EQ(Opts.Window, 3);
+  for (const char *Bad : {"abc", "10x", "-1", "", "0", " 5", "nan"}) {
+    EXPECT_FALSE(parseReportFlag(std::string("--threshold=") + Bad, Opts))
+        << Bad;
+    EXPECT_FALSE(parseReportFlag(std::string("--window=") + Bad, Opts)) << Bad;
+  }
+  EXPECT_FALSE(parseReportFlag("--window=2.5", Opts));
+  EXPECT_FALSE(parseReportFlag("--markdown-out=x", Opts));
+  // Rejected values leave the options as they were.
+  EXPECT_DOUBLE_EQ(Opts.ThresholdPct, 2.5);
+  EXPECT_EQ(Opts.Window, 3);
 }
 
 TEST(BenchReportTest, FewRecordsNeverFlag) {
@@ -176,7 +233,8 @@ TEST(BenchReportTest, SeededSyntheticRegressionIsDetected) {
   EXPECT_FALSE(R.ok());
   EXPECT_EQ(R.LastSha, "synthetic");
   // Every gated metric present in the history must trip.
-  EXPECT_EQ(R.Flagged.size(), 3u);
+  EXPECT_EQ(R.Flagged,
+            (std::vector<std::string>{"obs_overhead", "reference_speedup"}));
 }
 
 TEST(BenchReportTest, MarkdownCarriesVerdictAndRows) {
