@@ -8,9 +8,6 @@
 #include "BenchReport.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -203,32 +200,10 @@ std::string fmtValue(double V) {
 
 } // namespace
 
-bool parseReportFlag(const std::string &Arg, ReportOptions &Opts) {
-  auto valueOf = [&](const char *Prefix) -> const char * {
-    size_t N = std::strlen(Prefix);
-    if (Arg.compare(0, N, Prefix) != 0)
-      return nullptr;
-    const char *V = Arg.c_str() + N;
-    // A digit first rules out "", signs, blanks, "inf" and "nan".
-    return std::isdigit(static_cast<unsigned char>(*V)) ? V : nullptr;
-  };
-  char *End = nullptr;
-  errno = 0;
-  if (const char *V = valueOf("--threshold=")) {
-    double Pct = std::strtod(V, &End);
-    if (*End || errno == ERANGE || Pct <= 0)
-      return false;
-    Opts.ThresholdPct = Pct;
-    return true;
-  }
-  if (const char *V = valueOf("--window=")) {
-    long N = std::strtol(V, &End, 10);
-    if (*End || errno == ERANGE || N < 1 || N > INT_MAX)
-      return false;
-    Opts.Window = static_cast<int>(N);
-    return true;
-  }
-  return false;
+void ReportOptions::addFlags(support::FlagTable &Flags) {
+  Flags.real("threshold", ThresholdPct, "PCT", "gate at PCT% (default 10)", 0,
+             HUGE_VAL, /*MinExclusive=*/true);
+  Flags.count("window", Window, "baseline git SHAs (default 5)", 1);
 }
 
 bool parseBenchHistory(const std::string &Text,

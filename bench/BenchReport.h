@@ -22,6 +22,8 @@
 #ifndef CODEREP_BENCH_BENCHREPORT_H
 #define CODEREP_BENCH_BENCHREPORT_H
 
+#include "support/FlagTable.h"
+
 #include <map>
 #include <string>
 #include <vector>
@@ -48,13 +50,11 @@ struct ReportOptions {
   /// last record's own SHA, each SHA contributing the median of its
   /// records, so repeated runs at one commit weigh as one.
   int Window = 5;
-};
 
-/// Applies one "--threshold=PCT" or "--window=N" flag to \p Opts. Returns
-/// false, leaving \p Opts untouched, when \p Arg is neither flag or its
-/// value is malformed: PCT must be a positive decimal number and N a
-/// positive integer, with nothing after either.
-bool parseReportFlag(const std::string &Arg, ReportOptions &Opts);
+  /// Declares the --threshold=PCT (a number > 0) and --window=N (>= 1)
+  /// rows into \p Flags.
+  void addFlags(support::FlagTable &Flags);
+};
 
 /// One metric's comparison of the last record against the window median.
 struct MetricRow {

@@ -10,6 +10,7 @@
 
 #include "Suite.h"
 
+#include "support/FlagTable.h"
 #include "support/Format.h"
 
 #include <cstdio>
@@ -17,7 +18,8 @@
 using namespace coderep;
 using namespace coderep::bench;
 
-int main() {
+int main(int Argc, char **Argv) {
+  support::FlagTable("ablation_heuristics").parseOrExit(Argc, Argv);
   std::printf("Ablation: JUMPS step-2 sequence choice heuristic "
               "(Sun SPARC)\n\n");
 

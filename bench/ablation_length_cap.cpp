@@ -10,6 +10,7 @@
 
 #include "Suite.h"
 
+#include "support/FlagTable.h"
 #include "support/Format.h"
 
 #include <cstdio>
@@ -17,7 +18,8 @@
 using namespace coderep;
 using namespace coderep::bench;
 
-int main() {
+int main(int Argc, char **Argv) {
+  support::FlagTable("ablation_length_cap").parseOrExit(Argc, Argv);
   std::printf("Ablation: cap on RTLs per replication sequence "
               "(Section 6 future work; Sun SPARC)\n\n");
 

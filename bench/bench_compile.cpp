@@ -34,10 +34,10 @@
 
 #include "Suite.h"
 
-#include "cache/PipelineCli.h"
 #include "obs/Journal.h"
 #include "obs/ObsCli.h"
 #include "obs/ScopedTimer.h"
+#include "support/FlagTable.h"
 #include "support/Format.h"
 #include "support/ThreadPool.h"
 
@@ -55,10 +55,6 @@ using namespace coderep;
 using namespace coderep::bench;
 
 namespace {
-
-const char *targetName(target::TargetKind TK) {
-  return TK == target::TargetKind::M68 ? "m68" : "sparc";
-}
 
 /// Wall-clock microseconds of one JUMPS compile of \p BP under \p Options.
 /// A compile error ends the run: the suite must compile.
@@ -89,7 +85,7 @@ int64_t fastestUs(const BenchProgram &BP, target::TargetKind TK,
   for (int R = 0; R < Reps; ++R) {
     obs::ScopedTimer Span(Trace, Trace ? format("compile %s/%s %s",
                                                 BP.Name.c_str(),
-                                                targetName(TK), Config)
+                                                target::targetName(TK), Config)
                                        : std::string());
     Best = std::min(Best, compileUs(BP, TK, Options));
   }
@@ -146,20 +142,11 @@ int main(int argc, char **argv) {
   obs::ObsCli Obs("bench_compile");
   std::string OutPath = "BENCH_compile.json";
   int JobsFlag = 0; // 0 = every core
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg.rfind("--jobs=", 0) == 0 &&
-        cache::PipelineCli::parseCount(Arg.c_str() + 7, JobsFlag))
-      ; // handled
-    else if (Obs.consume(Arg))
-      ; // handled
-    else if (Arg.rfind("--", 0) != 0)
-      OutPath = Arg;
-    else {
-      std::fprintf(stderr, "unknown option %s\n", Arg.c_str());
-      return 2;
-    }
-  }
+  support::FlagTable Flags("bench_compile");
+  Flags.positional(OutPath, "OUT.json", "results (default BENCH_compile.json)");
+  Flags.count("jobs", JobsFlag, "tasks timed at once (0 = every core)");
+  Obs.addFlags(Flags);
+  Flags.parseOrExit(argc, argv);
   obs::TraceSink *Trace = Obs.sink();
   const int Reps = 3;
 
@@ -224,7 +211,7 @@ int main(int argc, char **argv) {
     const TaskResult &R = Results[I];
     ReferenceTotalUs += R.ReferenceUs;
     DefaultTotalUs += R.DefaultUs;
-    AllMonotone &= checkNoRegression(BP->Name.c_str(), targetName(TK),
+    AllMonotone &= checkNoRegression(BP->Name.c_str(), target::targetName(TK),
                                      R.ReferenceUs, R.DefaultUs);
 
     if (!ProgramsJson.empty())
@@ -232,13 +219,13 @@ int main(int argc, char **argv) {
     ProgramsJson += format(
         "    {\"program\": \"%s\", \"target\": \"%s\", "
         "\"jumps_baseline_us\": %lld, \"jumps_optimized_us\": %lld}",
-        BP->Name.c_str(), targetName(TK),
+        BP->Name.c_str(), target::targetName(TK),
         static_cast<long long>(R.ReferenceUs),
         static_cast<long long>(R.DefaultUs));
 
     std::printf("%-10s %-5s jumps: baseline %8lld us, optimized %8lld us "
                 "(%.2fx)\n",
-                BP->Name.c_str(), targetName(TK),
+                BP->Name.c_str(), target::targetName(TK),
                 static_cast<long long>(R.ReferenceUs),
                 static_cast<long long>(R.DefaultUs),
                 R.DefaultUs > 0

@@ -19,6 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchReport.h"
+#include "support/FlagTable.h"
 
 #include <cstdio>
 #include <fstream>
@@ -71,22 +72,12 @@ int main(int Argc, char **Argv) {
   ReportOptions Opts;
   bool SelfCheck = false;
 
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (parseReportFlag(Arg, Opts))
-      ; // handled
-    else if (Arg.rfind("--markdown-out=", 0) == 0)
-      MarkdownOut = Arg.substr(15);
-    else if (Arg == "--self-check")
-      SelfCheck = true;
-    else if (Arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr,
-                   "usage: bench_report [HISTORY.jsonl] [--threshold=PCT] "
-                   "[--window=N] [--markdown-out=FILE] [--self-check]\n");
-      return 2;
-    } else
-      Path = Arg;
-  }
+  coderep::support::FlagTable Flags("bench_report");
+  Flags.positional(Path, "HISTORY.jsonl", "default BENCH_history.jsonl");
+  Opts.addFlags(Flags);
+  Flags.text("markdown-out", MarkdownOut, "FILE", "also write the report");
+  Flags.flag("self-check", SelfCheck, "test the gates on a seeded regression");
+  Flags.parseOrExit(Argc, Argv);
   if (SelfCheck)
     return selfCheck(Opts);
 

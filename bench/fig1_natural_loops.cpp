@@ -11,6 +11,7 @@
 #include "cfg/CfgAnalysis.h"
 #include "cfg/FunctionPrinter.h"
 #include "replicate/Replication.h"
+#include "support/FlagTable.h"
 
 #include <cstdio>
 
@@ -61,7 +62,8 @@ std::unique_ptr<Function> buildFigure1() {
 
 } // namespace
 
-int main() {
+int main(int Argc, char **Argv) {
+  support::FlagTable("fig1_natural_loops").parseOrExit(Argc, Argv);
   std::printf("Figure 1: Interference with Natural Loops\n\n");
   auto F = buildFigure1();
   std::printf("=== before replication ===\n%s\n", toString(*F).c_str());

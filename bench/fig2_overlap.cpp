@@ -12,6 +12,7 @@
 #include "cfg/CfgAnalysis.h"
 #include "cfg/FunctionPrinter.h"
 #include "replicate/Replication.h"
+#include "support/FlagTable.h"
 
 #include <cstdio>
 
@@ -53,7 +54,8 @@ std::unique_ptr<Function> buildFigure2() {
 
 } // namespace
 
-int main() {
+int main(int Argc, char **Argv) {
+  support::FlagTable("fig2_overlap").parseOrExit(Argc, Argv);
   std::printf("Figure 2: Partial Overlapping of Natural Loops\n\n");
   auto F = buildFigure2();
   std::printf("=== before replication ===\n%s\n", toString(*F).c_str());

@@ -11,6 +11,7 @@
 
 #include "Suite.h"
 
+#include "support/FlagTable.h"
 #include "support/Format.h"
 
 #include <cstdio>
@@ -18,7 +19,8 @@
 using namespace coderep;
 using namespace coderep::bench;
 
-int main() {
+int main(int Argc, char **Argv) {
+  support::FlagTable("fig3_phase_order").parseOrExit(Argc, Argv);
   std::printf("Figure 3: Order of Optimizations - pipeline activity\n\n");
   TextTable Table;
   Table.addRow({"program", "level", "fixpoint iters", "jumps replaced",

@@ -10,6 +10,7 @@
 
 #include "Suite.h"
 
+#include "support/FlagTable.h"
 #include "support/Format.h"
 
 #include <cstdio>
@@ -17,7 +18,8 @@
 using namespace coderep;
 using namespace coderep::bench;
 
-int main() {
+int main(int Argc, char **Argv) {
+  support::FlagTable("sec52_branch_stats").parseOrExit(Argc, Argv);
   std::printf("Section 5.2 statistics (Sun SPARC)\n");
   std::printf("(paper: +1.5 instructions between branches, -50%% executed "
               "no-ops under JUMPS)\n\n");

@@ -12,13 +12,15 @@
 #include "Suite.h"
 
 #include "cfg/FunctionPrinter.h"
+#include "support/FlagTable.h"
 
 #include <cstdio>
 
 using namespace coderep;
 using namespace coderep::driver;
 
-int main() {
+int main(int Argc, char **Argv) {
+  support::FlagTable("table1_loop_exit").parseOrExit(Argc, Argv);
   const char *Src = R"(
     char x[128];
     int n;

@@ -9,13 +9,15 @@
 #include "Suite.h"
 
 #include "cfg/FunctionPrinter.h"
+#include "support/FlagTable.h"
 
 #include <cstdio>
 
 using namespace coderep;
 using namespace coderep::driver;
 
-int main() {
+int main(int Argc, char **Argv) {
+  support::FlagTable("table2_if_then_else").parseOrExit(Argc, Argv);
   const char *Src = R"(
     int i;
     int n;

@@ -9,6 +9,7 @@
 
 #include "Suite.h"
 
+#include "support/FlagTable.h"
 #include "support/Format.h"
 
 #include <cmath>
@@ -38,7 +39,8 @@ Row meanStd(const std::vector<double> &Values) {
 
 } // namespace
 
-int main() {
+int main(int Argc, char **Argv) {
+  support::FlagTable("table4_jump_fraction").parseOrExit(Argc, Argv);
   std::printf("Table 4: Percent of Instructions that are Unconditional "
               "Jumps\n");
   std::printf("(paper, SPARC dynamic: SIMPLE 3.28%%, LOOPS 1.89%%, JUMPS "

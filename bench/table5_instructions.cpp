@@ -11,6 +11,7 @@
 #include "Suite.h"
 
 #include "obs/ObsCli.h"
+#include "support/FlagTable.h"
 #include "support/Format.h"
 
 #include <cstdio>
@@ -20,14 +21,9 @@ using namespace coderep::bench;
 
 int main(int Argc, char **Argv) {
   obs::ObsCli Obs("table5_instructions");
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (!Obs.consume(Arg)) {
-      std::fprintf(stderr, "usage: table5_instructions %s\n",
-                   obs::ObsCli::usage());
-      return 2;
-    }
-  }
+  support::FlagTable Flags("table5_instructions");
+  Obs.addFlags(Flags);
+  Flags.parseOrExit(Argc, Argv);
   std::printf("Table 5: Number of Static and Dynamic Instructions\n");
   std::printf("(paper averages: static +3.97%%/+56.53%% (SPARC), "
               "+2.55%%/+49.37%% (68020);\n dynamic -2.39%%/-5.71%% (SPARC), "

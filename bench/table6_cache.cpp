@@ -13,6 +13,7 @@
 
 #include "Suite.h"
 
+#include "support/FlagTable.h"
 #include "support/Format.h"
 
 #include <cstdio>
@@ -37,7 +38,8 @@ std::vector<cache::CacheConfig> allConfigs() {
 
 } // namespace
 
-int main() {
+int main(int Argc, char **Argv) {
+  support::FlagTable("table6_cache").parseOrExit(Argc, Argv);
   std::printf("Table 6: Percent Change in Miss Ratio and Instruction Fetch "
               "Cost for Direct-Mapped Caches\n");
   std::printf("(paper, SPARC ctx-on fetch cost: LOOPS -2.73/-3.80/-2.26/"

@@ -19,6 +19,7 @@
 #include "Suite.h"
 #include "cache/PipelineCli.h"
 #include "obs/ObsCli.h"
+#include "support/FlagTable.h"
 #include "support/Format.h"
 
 #include <cstdio>
@@ -29,14 +30,10 @@ using namespace coderep::bench;
 int main(int Argc, char **Argv) {
   obs::ObsCli Obs("cache_study");
   cache::PipelineCli Pipe;
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (!Obs.consume(Arg) && !Pipe.consume(Arg)) {
-      std::fprintf(stderr, "usage: cache_study %s %s\n",
-                   cache::PipelineCli::usage(), obs::ObsCli::usage());
-      return 1;
-    }
-  }
+  support::FlagTable Flags("cache_study");
+  Pipe.addFlags(Flags);
+  Obs.addFlags(Flags);
+  Flags.parseOrExit(Argc, Argv);
   opt::PipelineOptions Opts;
   Pipe.apply(Opts);
 

@@ -8,7 +8,7 @@
 //
 // Usage:
 //   codrepd --socket=PATH [--jobs=N] [--pipeline-cache[=DIR]]
-//           [--cache-budget=BYTES] [obs flags] [verify flags]
+//           [--cache-budget=BYTES] [observability and verification flags]
 //
 // Example:
 //   ./build/examples/codrepd --socket=/tmp/codrepd.sock --jobs=4
@@ -18,8 +18,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "cache/PipelineCli.h"
+#include "obs/ObsCli.h"
 #include "server/Server.h"
-#include "support/CliFlags.h"
+#include "support/FlagTable.h"
+#include "verify/VerifyCli.h"
 
 #include <csignal>
 #include <cstdio>
@@ -39,38 +42,33 @@ static void onSignal(int) {
 
 int main(int Argc, char **Argv) {
   std::string SocketPath;
-  support::CliFlags Flags("codrepd");
+  cache::PipelineCli Pipe;
+  obs::ObsCli Obs("codrepd");
+  verify::VerifyCli Verify;
 
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg.rfind("--socket=", 0) == 0)
-      SocketPath = Arg.substr(9);
-    else if (Flags.consume(Arg))
-      ; // handled
-    else {
-      std::fprintf(stderr, "unknown option %s\n", Arg.c_str());
-      return 2;
-    }
-  }
-  if (SocketPath.empty()) {
-    std::fprintf(stderr, "usage: codrepd --socket=PATH %s\n",
-                 support::CliFlags::usage().c_str());
-    return 2;
-  }
+  support::FlagTable Flags("codrepd");
+  Flags.text("socket", SocketPath, "PATH", "socket to serve on (required)");
+  Pipe.addFlags(Flags);
+  Obs.addFlags(Flags);
+  Verify.addFlags(Flags);
+  Flags.parseOrExit(Argc, Argv);
+  if (SocketPath.empty())
+    return Flags.usageError("missing --socket=PATH");
 
   server::ServerOptions SO;
   SO.SocketPath = SocketPath;
   opt::PipelineOptions &Base = SO.Base;
-  Flags.apply(Base);
-  SO.Jobs = Flags.pipeline().jobs();
-  SO.Sink = Flags.obs().sink();
-  SO.SessionJournal = Flags.obs().journal();
+  Base.Trace = Obs.config();
+  Pipe.apply(Base);
+  Verify.apply(Base);
+  SO.Jobs = Pipe.jobs();
+  SO.Sink = Obs.sink();
+  SO.SessionJournal = Obs.journal();
 
   // The daemon always shares one cache across tenants; without
   // --pipeline-cache it is process-local in-memory.
   cache::PipelineCache OwnCache;
-  cache::PipelineCache *Cache =
-      Flags.pipeline().cache() ? Flags.pipeline().cache() : &OwnCache;
+  cache::PipelineCache *Cache = Pipe.cache() ? Pipe.cache() : &OwnCache;
   SO.Cache = Cache;
   Base.FunctionCache = Cache;
 
@@ -100,7 +98,8 @@ int main(int Argc, char **Argv) {
                100.0 * S.hitRate(),
                static_cast<long long>(S.RequestUs.quantile(0.5)),
                static_cast<long long>(S.RequestUs.quantile(0.99)));
-  if (obs::TraceSink *Sink = Flags.obs().sink())
+  if (obs::TraceSink *Sink = Obs.sink())
     Cache->publishMetrics(Sink->metrics());
-  return Flags.finish() ? 0 : 1;
+  bool VerifyOk = Verify.finish(Obs.sink());
+  return Obs.finish() && VerifyOk ? 0 : 1;
 }

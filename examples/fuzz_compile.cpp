@@ -15,12 +15,8 @@
 // --expect-mismatch (exit 0 only when a mismatch was found AND reduced to
 // a small repro) it is the subsystem's mutation-testing self-check.
 //
-// Usage:
-//   fuzz_compile --seeds=N|LO:HI [--suite] [--jobs=N]
-//                [--target=m68|sparc|both] [--level=simple|loops|jumps|all]
-//                [--reduce] [--repro-dir=DIR] [--expect-mismatch]
-//                [--verify=off|final|pass|round] [--verify-seed=N]
-//                [--verify-inputs=N]
+// Usage: fuzz_compile --seeds=N|LO:HI and/or --suite, plus the flags any
+// malformed flag prints (targets, levels, reducer, oracle, observability).
 //
 // Examples:
 //   ./build/examples/fuzz_compile --seeds=500 --verify=final
@@ -33,6 +29,8 @@
 #include "Suite.h"
 #include "frontend/CodeGen.h"
 #include "obs/ObsCli.h"
+#include "support/FlagTable.h"
+#include "support/ThreadPool.h"
 #include "verify/Bisim.h"
 #include "verify/Oracle.h"
 #include "verify/RandomProgram.h"
@@ -40,14 +38,11 @@
 #include "verify/VerifyCli.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace coderep;
@@ -84,11 +79,20 @@ struct FuzzConfig {
   bool Reduce = false;
   bool ExpectMismatch = false;
   std::string ReproDir;
-  unsigned Jobs = 0; ///< 0 = hardware concurrency
+  int Jobs = 0; ///< 0 = hardware concurrency
 };
 
-const char *targetName(target::TargetKind TK) {
-  return TK == target::TargetKind::M68 ? "m68" : "sparc";
+/// Each entry of an enum's name table as a one-value choice, plus \p All
+/// naming every value at once: the --target= and --level= rows.
+template <typename E, size_t N>
+std::vector<support::NamedValue<std::vector<E>>>
+choicesWithAll(const support::NamedValue<E> (&Names)[N], const char *All) {
+  std::vector<support::NamedValue<std::vector<E>>> Out(1, {All, {}});
+  for (const auto &[Name, V] : Names) {
+    Out.push_back({Name, {V}});
+    Out[0].second.push_back(V);
+  }
+  return Out;
 }
 
 /// Front end + legalization only: the reference translation.
@@ -212,62 +216,25 @@ int main(int Argc, char **Argv) {
   obs::ObsCli Obs("fuzz_compile");
   verify::VerifyCli Verify;
 
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg.rfind("--seeds=", 0) == 0) {
-      const std::string Spec = Arg.substr(8);
-      const size_t Colon = Spec.find(':');
-      if (Colon == std::string::npos) {
-        SeedLo = 1;
-        SeedHi = std::strtoull(Spec.c_str(), nullptr, 10);
-      } else {
-        SeedLo = std::strtoull(Spec.substr(0, Colon).c_str(), nullptr, 10);
-        SeedHi = std::strtoull(Spec.substr(Colon + 1).c_str(), nullptr, 10);
-      }
-    } else if (Arg == "--suite")
-      Suite = true;
-    else if (Arg.rfind("--jobs=", 0) == 0)
-      C.Jobs = static_cast<unsigned>(std::atoi(Arg.c_str() + 7));
-    else if (Arg == "--target=m68")
-      C.Targets = {target::TargetKind::M68};
-    else if (Arg == "--target=sparc")
-      C.Targets = {target::TargetKind::Sparc};
-    else if (Arg == "--target=both")
-      C.Targets = {target::TargetKind::M68, target::TargetKind::Sparc};
-    else if (Arg == "--level=simple")
-      C.Levels = {opt::OptLevel::Simple};
-    else if (Arg == "--level=loops")
-      C.Levels = {opt::OptLevel::Loops};
-    else if (Arg == "--level=jumps")
-      C.Levels = {opt::OptLevel::Jumps};
-    else if (Arg == "--level=all")
-      C.Levels = {opt::OptLevel::Simple, opt::OptLevel::Loops,
-                  opt::OptLevel::Jumps};
-    else if (Arg == "--reduce")
-      C.Reduce = true;
-    else if (Arg == "--expect-mismatch")
-      C.ExpectMismatch = C.Reduce = true;
-    else if (Arg.rfind("--repro-dir=", 0) == 0)
-      C.ReproDir = Arg.substr(12);
-    else if (Arg == "--mutate-constant-folding")
-      C.Mutate = true; // must precede Verify.consume, which also takes it
-    else if (Obs.consume(Arg) || Verify.consume(Arg))
-      ; // handled
-    else {
-      std::fprintf(stderr,
-                   "usage: fuzz_compile --seeds=N|LO:HI [--suite] [--jobs=N] "
-                   "[--target=m68|sparc|both] "
-                   "[--level=simple|loops|jumps|all] [--reduce] "
-                   "[--repro-dir=DIR] [--expect-mismatch] %s %s\n",
-                   verify::VerifyCli::usage(), obs::ObsCli::usage());
-      return 2;
-    }
-  }
-  if (!Suite && SeedHi < SeedLo) {
-    std::fprintf(stderr, "fuzz_compile: nothing to do "
-                         "(pass --seeds=N and/or --suite)\n");
-    return 2;
-  }
+  support::FlagTable Flags("fuzz_compile");
+  Flags.u64Range("seeds", SeedLo, SeedHi, "random programs 1..N or LO..HI");
+  Flags.flag("suite", Suite, "also sweep the 84 benchmark configurations");
+  Flags.count("jobs", C.Jobs, "worker threads (0 = every core, the default)");
+  Flags.choice("target", C.Targets, choicesWithAll(target::TargetNames, "both"),
+               "machines (default both)");
+  Flags.choice("level", C.Levels, choicesWithAll(opt::OptLevelNames, "all"),
+               "optimization levels (default jumps)");
+  Flags.flag("reduce", C.Reduce, "delta-debug each failure to a small repro");
+  Flags.text("repro-dir", C.ReproDir, "DIR", "write reduced repros under DIR");
+  Flags.flag("expect-mismatch", C.ExpectMismatch,
+             "pass only if a failure reduces to <= 10 blocks (sets --reduce)");
+  Obs.addFlags(Flags);
+  Verify.addFlags(Flags);
+  Flags.parseOrExit(Argc, Argv);
+  C.Reduce |= C.ExpectMismatch;
+  C.Mutate = Verify.mutate();
+  if (!Suite && SeedHi < SeedLo)
+    return Flags.usageError("nothing to do (pass --seeds=N and/or --suite)");
   C.Oracle = Verify.options();
   C.Trace = Obs.config();
   C.Oracle.Sink = C.Trace.Sink;
@@ -280,8 +247,8 @@ int main(int Argc, char **Argv) {
       for (target::TargetKind TK : C.Targets)
         for (opt::OptLevel Level : C.Levels) {
           FuzzJob J;
-          J.Name = "seed-" + std::to_string(Seed) + "/" + targetName(TK) +
-                   "/" + opt::optLevelName(Level);
+          J.Name = "seed-" + std::to_string(Seed) + "/" +
+                   target::targetName(TK) + "/" + opt::optLevelName(Level);
           J.Source = verify::randomProgram(Seed);
           J.TK = TK;
           J.Level = Level;
@@ -295,7 +262,7 @@ int main(int Argc, char **Argv) {
              {opt::OptLevel::Simple, opt::OptLevel::Loops,
               opt::OptLevel::Jumps}) {
           FuzzJob J;
-          J.Name = BP.Name + "/" + std::string(targetName(TK)) + "/" +
+          J.Name = BP.Name + "/" + target::targetName(TK) + "/" +
                    opt::optLevelName(Level);
           J.Source = BP.Source;
           J.Input = BP.Input;
@@ -304,22 +271,15 @@ int main(int Argc, char **Argv) {
           Jobs.push_back(std::move(J));
         }
 
-  // Fan out over a worker pool; results land in job order.
+  // Fan out over the shared pool; results land in job order.
   std::vector<FuzzOutcome> Outcomes(Jobs.size());
-  std::atomic<size_t> Next{0};
-  unsigned Workers = C.Jobs ? C.Jobs : std::thread::hardware_concurrency();
-  if (Workers == 0)
-    Workers = 1;
-  Workers = std::min<unsigned>(Workers, Jobs.size());
-  std::vector<std::thread> Pool;
-  for (unsigned W = 0; W < Workers; ++W)
-    Pool.emplace_back([&] {
-      for (size_t I = Next.fetch_add(1); I < Jobs.size();
-           I = Next.fetch_add(1))
-        Outcomes[I] = checkJob(C, Jobs[I]);
-    });
-  for (std::thread &T : Pool)
-    T.join();
+  {
+    // --jobs=0 gives ThreadPool(0): every core.
+    ThreadPool Pool(static_cast<unsigned>(
+        std::min(static_cast<size_t>(C.Jobs), Jobs.size())));
+    Pool.parallelFor(Jobs.size(),
+                     [&](size_t I) { Outcomes[I] = checkJob(C, Jobs[I]); });
+  }
 
   verify::OracleCounters Total;
   int64_t BisimChecks = 0;

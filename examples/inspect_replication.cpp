@@ -9,9 +9,9 @@
 //
 // With --trace-out=FILE the run also records span events and one decision
 // record per examined jump, exported as Chrome trace-event JSON; the
-// decision log is echoed to stdout. --metrics-out= and --dot-dir= work as
-// in every other binary (see obs/ObsCli.h), and so do --jobs= and
-// --pipeline-cache= (see cache/PipelineCli.h).
+// decision log is echoed to stdout. The other observability flags
+// (obs/ObsCli.h) and the pipeline-speed flags --jobs=, --pipeline-cache
+// and --cache-budget= (cache/PipelineCli.h) work as in minic_compiler.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +23,7 @@
 #include "obs/ObsCli.h"
 #include "replicate/Replication.h"
 #include "replicate/ShortestPaths.h"
+#include "support/FlagTable.h"
 #include "target/Target.h"
 
 #include <cstdio>
@@ -32,14 +33,10 @@ using namespace coderep;
 int main(int Argc, char **Argv) {
   obs::ObsCli Obs("inspect_replication");
   cache::PipelineCli Pipe;
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (!Obs.consume(Arg) && !Pipe.consume(Arg)) {
-      std::fprintf(stderr, "usage: inspect_replication %s %s\n",
-                   cache::PipelineCli::usage(), obs::ObsCli::usage());
-      return 2;
-    }
-  }
+  support::FlagTable Flags("inspect_replication");
+  Pipe.addFlags(Flags);
+  Obs.addFlags(Flags);
+  Flags.parseOrExit(Argc, Argv);
   // An unstructured loop: entered in the middle via goto, exit in the
   // middle; Section 3.1 promises the generalized algorithm handles it.
   const char *Source = R"(

@@ -20,16 +20,15 @@
 //===----------------------------------------------------------------------===//
 
 #include "Suite.h"
-#include "cache/PipelineCli.h"
 #include "cfg/FunctionPrinter.h"
 #include "obs/Histogram.h"
 #include "server/Client.h"
+#include "support/FlagTable.h"
 #include "verify/RandomProgram.h"
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <string>
@@ -53,17 +52,6 @@ int64_t nowUs() {
       .count();
 }
 
-/// Parses a hit rate: a decimal number in [0, 1] with nothing after it.
-/// Returns false, leaving \p Out untouched, on anything else.
-bool parseRate(const char *S, double &Out) {
-  char *End = nullptr;
-  double V = std::strtod(S, &End);
-  if (End == S || *End || !(V >= 0.0 && V <= 1.0))
-    return false;
-  Out = V;
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -72,35 +60,16 @@ int main(int Argc, char **Argv) {
   bool Check = false;
   double MinHitRate = -1.0;
 
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg.rfind("--socket=", 0) == 0)
-      SocketPath = Arg.substr(9);
-    else if (Arg.rfind("--requests=", 0) == 0 &&
-             cache::PipelineCli::parseCount(Arg.c_str() + 11, Requests))
-      ; // handled
-    else if (Arg.rfind("--jobs=", 0) == 0 &&
-             cache::PipelineCli::parseCount(Arg.c_str() + 7, Jobs))
-      ; // handled
-    else if (Arg.rfind("--seeds=", 0) == 0 &&
-             cache::PipelineCli::parseCount(Arg.c_str() + 8, Seeds))
-      ; // handled
-    else if (Arg == "--check")
-      Check = true;
-    else if (Arg.rfind("--min-hit-rate=", 0) == 0 &&
-             parseRate(Arg.c_str() + 15, MinHitRate))
-      ; // handled
-    else {
-      std::fprintf(stderr, "unknown option %s\n", Arg.c_str());
-      return 2;
-    }
-  }
-  if (SocketPath.empty() || Requests <= 0 || Jobs <= 0) {
-    std::fprintf(stderr,
-                 "usage: loadgen --socket=PATH [--requests=N] [--jobs=N] "
-                 "[--seeds=N] [--check] [--min-hit-rate=X]\n");
-    return 2;
-  }
+  support::FlagTable Flags("loadgen");
+  Flags.text("socket", SocketPath, "PATH", "the daemon's socket (required)");
+  Flags.count("requests", Requests, "requests to send (default 200)", 1);
+  Flags.count("jobs", Jobs, "concurrent connections (default 4)", 1);
+  Flags.count("seeds", Seeds, "random programs in the mix (default 8)");
+  Flags.flag("check", Check, "compare each response with a local compile");
+  Flags.real("min-hit-rate", MinHitRate, "X", "fail below this hit rate", 0, 1);
+  Flags.parseOrExit(Argc, Argv);
+  if (SocketPath.empty())
+    return Flags.usageError("missing --socket=PATH");
 
   // The workload: every suite program plus `Seeds` random programs, cycled
   // round-robin until `Requests` requests exist. Repeats are the point -

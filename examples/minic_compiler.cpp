@@ -6,8 +6,9 @@
 // Usage:
 //   minic_compiler FILE.mc [--target=m68|sparc] [--level=simple|loops|jumps]
 //                  [--dump] [--input=FILE] [--cache]
-//                  [--jobs=N] [--pipeline-cache[=DIR]]
-//                  [--verify=off|final|pass|round] [--verify-seed=N]
+//                  [pipeline, observability and verification flags]
+//
+// Any malformed flag prints the full usage and exits 2.
 //
 // Examples:
 //   ./build/examples/minic_compiler bench/programs/queens.mc --level=jumps
@@ -16,12 +17,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "Suite.h"
+#include "cache/PipelineCli.h"
 #include "cfg/FunctionPrinter.h"
-#include "support/CliFlags.h"
+#include "obs/ObsCli.h"
+#include "support/FlagTable.h"
 #include "support/Format.h"
+#include "verify/VerifyCli.h"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -42,43 +45,27 @@ int main(int Argc, char **Argv) {
   target::TargetKind TK = target::TargetKind::Sparc;
   opt::OptLevel Level = opt::OptLevel::Jumps;
   bool Dump = false, Cache = false;
-  support::CliFlags Flags("minic_compiler");
+  cache::PipelineCli Pipe;
+  obs::ObsCli Obs("minic_compiler");
+  verify::VerifyCli Verify;
 
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg == "--target=m68")
-      TK = target::TargetKind::M68;
-    else if (Arg == "--target=sparc")
-      TK = target::TargetKind::Sparc;
-    else if (Arg == "--level=simple")
-      Level = opt::OptLevel::Simple;
-    else if (Arg == "--level=loops")
-      Level = opt::OptLevel::Loops;
-    else if (Arg == "--level=jumps")
-      Level = opt::OptLevel::Jumps;
-    else if (Arg == "--dump")
-      Dump = true;
-    else if (Arg == "--cache")
-      Cache = true;
-    else if (Arg.rfind("--input=", 0) == 0)
-      InputPath = Arg.substr(8);
-    else if (Flags.consume(Arg))
-      ; // handled
-    else if (Arg[0] != '-')
-      Path = Arg;
-    else {
-      std::fprintf(stderr, "unknown option %s\n", Arg.c_str());
-      return 2;
-    }
-  }
-  if (Path.empty()) {
-    std::fprintf(stderr,
-                 "usage: minic_compiler FILE.mc [--target=m68|sparc] "
-                 "[--level=simple|loops|jumps] [--dump] [--input=FILE] "
-                 "[--cache] %s\n",
-                 support::CliFlags::usage().c_str());
-    return 2;
-  }
+  support::FlagTable Flags("minic_compiler");
+  Flags.positional(Path, "FILE.mc", "MiniC source", /*Required=*/true);
+  Flags.choice("target", TK, target::TargetNames, "machine (default sparc)");
+  Flags.choice("level", Level, opt::OptLevelNames,
+               "optimization level (default jumps)");
+  Flags.flag("dump", Dump, "print the optimized RTL instead of running it");
+  Flags.text("input", InputPath, "FILE", "bytes the program reads");
+  Flags.flag("cache", Cache, "simulate the paper's instruction caches");
+  Pipe.addFlags(Flags);
+  Obs.addFlags(Flags);
+  Verify.addFlags(Flags);
+  Flags.parseOrExit(Argc, Argv);
+  // False when verification failed or an output could not be written.
+  auto finish = [&] {
+    bool VerifyOk = Verify.finish(Obs.sink());
+    return Obs.finish() && VerifyOk;
+  };
 
   std::string Source;
   if (!readFile(Path, Source)) {
@@ -92,7 +79,9 @@ int main(int Argc, char **Argv) {
   }
 
   opt::PipelineOptions Opts;
-  Flags.apply(Opts);
+  Opts.Trace = Obs.config();
+  Pipe.apply(Opts);
+  Verify.apply(Opts);
   driver::Compilation C = driver::compile(Source, TK, Level, &Opts);
   if (!C.ok()) {
     std::fprintf(stderr, "%s: %s\n", Path.c_str(), C.Error.c_str());
@@ -100,7 +89,7 @@ int main(int Argc, char **Argv) {
   }
   if (Dump) {
     std::printf("%s", cfg::toString(*C.Prog).c_str());
-    return Flags.finish() ? 0 : 1;
+    return finish() ? 0 : 1;
   }
 
   std::vector<cache::CacheConfig> Configs;
@@ -142,7 +131,7 @@ int main(int Argc, char **Argv) {
                  100.0 * Bank.caches()[I].stats().missRatio(),
                  static_cast<unsigned long long>(
                      Bank.caches()[I].stats().FetchCost));
-  if (!Flags.finish())
+  if (!finish())
     return 1;
   return R.ok() ? 0 : 1;
 }

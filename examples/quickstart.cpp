@@ -17,6 +17,7 @@
 #include "cfg/FunctionPrinter.h"
 #include "driver/Compiler.h"
 #include "obs/ObsCli.h"
+#include "support/FlagTable.h"
 
 #include <cstdio>
 
@@ -24,13 +25,9 @@ using namespace coderep;
 
 int main(int Argc, char **Argv) {
   obs::ObsCli Obs("quickstart");
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Obs.consume(Arg))
-      continue;
-    std::fprintf(stderr, "usage: quickstart %s\n", obs::ObsCli::usage());
-    return 2;
-  }
+  support::FlagTable Flags("quickstart");
+  Obs.addFlags(Flags);
+  Flags.parseOrExit(Argc, Argv);
   // A while loop (unconditional jump at the bottom) plus an if-then-else
   // (unconditional jump over the else part): the two shapes of Section 3.
   const char *Source = R"(

@@ -92,12 +92,13 @@ Compilation driver::compile(const std::string &Source, target::TargetKind TK,
     opt::optimizeProgram(*Result.Prog, *T, Options, &Result.Pipeline);
   }
   if (Sink) {
-    // Whole-compile rollup of the per-function analysis caches (the
-    // per-analysis split lives under the analysis.<name>.* keys).
+    // Rollup of the per-function analysis caches (the per-analysis split
+    // lives under the analysis.<name>.* keys). Counters, like that split:
+    // a sink that spans several compiles totals them all.
     const opt::AnalysisCounters &A = Result.Pipeline.Analysis;
-    Sink->metrics().set("driver.analysis_hits", A.totalHits());
-    Sink->metrics().set("driver.analysis_recomputes", A.totalRecomputes());
-    Sink->metrics().set("driver.analysis_invalidations",
+    Sink->metrics().add("driver.analysis_hits", A.totalHits());
+    Sink->metrics().add("driver.analysis_recomputes", A.totalRecomputes());
+    Sink->metrics().add("driver.analysis_invalidations",
                         A.totalInvalidations());
     if (Options.Verifier)
       Options.Verifier->publishMetrics(Sink->metrics());

@@ -6,25 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Every example and bench binary exposes the same observability flags;
-/// this header is the one place that parses them and flushes the outputs:
-///
-///   --trace-out=FILE      Chrome trace-event JSON (Perfetto-loadable)
-///   --metrics-out=FILE    metrics JSON (typed entries + histograms)
-///   --profile-out=FILE    speedscope self-profile built from the spans
-///   --profile-folded=FILE FlameGraph collapsed-stack self-profile
-///   --journal-out=FILE    per-function JSONL session journal (schema v1)
-///   --dot-dir=DIR         before/after CFG DOT per applied decision
-///
-/// Usage: call consume() on each argv entry (true = it was an obs flag),
-/// pass config() wherever a TraceConfig is accepted, and call finish()
-/// before exit to write the requested files. The successor of the
-/// original TraceCli, extended with the profiler and journal outputs.
-///
-/// While a trace is requested, the sink is armed for crash-safe flushing
-/// (TraceSink::installCrashFlush): a run that dies mid-compile still
-/// leaves a parseable trace prefix. finish() disarms after the normal
-/// write.
+/// The observability outputs a binary can request and the sink and journal
+/// that feed them. addFlags() declares one row per output; after parsing,
+/// pass config() wherever a TraceConfig is accepted and call finish()
+/// before exit to write the requested files. While a trace is requested,
+/// the sink is armed for crash-safe flushing (TraceSink::installCrashFlush)
+/// until finish() has written it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,37 +21,28 @@
 #include "obs/Journal.h"
 #include "obs/Profiler.h"
 #include "obs/Trace.h"
+#include "support/FlagTable.h"
 
 #include <cstdio>
 
 namespace coderep::obs {
 
-/// Owns the sink, the journal and the parsed output paths for one binary.
+/// Owns the sink, the journal and the requested output paths for one
+/// binary.
 class ObsCli {
 public:
   /// \p Tool names the session in the journal header ("minic_compiler").
   explicit ObsCli(std::string Tool = "coderep")
       : SessionJournal(std::move(Tool)) {}
 
-  /// Returns true when \p Arg was one of the observability flags.
-  bool consume(const std::string &Arg) {
-    auto match = [&](const char *Prefix, std::string &Out) {
-      size_t N = std::char_traits<char>::length(Prefix);
-      if (Arg.compare(0, N, Prefix) != 0)
-        return false;
-      Out = Arg.substr(N);
-      return true;
-    };
-    return match("--trace-out=", TraceOut) ||
-           match("--metrics-out=", MetricsOut) ||
-           match("--profile-out=", ProfileOut) ||
-           match("--profile-folded=", ProfileFolded) ||
-           match("--journal-out=", JournalOut) || match("--dot-dir=", DotDir);
-  }
-
-  /// True when any flag asked for observability output.
-  bool active() const {
-    return sinkWanted() || !JournalOut.empty() || !DotDir.empty();
+  /// Declares the output rows into \p Flags.
+  void addFlags(support::FlagTable &Flags) {
+    Flags.text("trace-out", TraceOut, "FILE", "Chrome trace-event JSON");
+    Flags.text("metrics-out", MetricsOut, "FILE", "metrics JSON");
+    Flags.text("profile-out", ProfileOut, "FILE", "speedscope self-profile");
+    Flags.text("profile-folded", ProfileFolded, "FILE", "folded-stack profile");
+    Flags.text("journal-out", JournalOut, "FILE", "per-function JSONL journal");
+    Flags.text("dot-dir", DotDir, "DIR", "CFG DOT per applied replication");
   }
 
   /// The config to thread through the compiler; fully disabled when no
@@ -92,49 +70,34 @@ public:
   /// Writes whatever was requested. Returns false on any write failure.
   bool finish() {
     bool Ok = true;
+    auto write = [&Ok](const std::string &Path, const char *What,
+                       const std::string &Text, const std::string &Hint) {
+      const bool Wrote = TraceSink::writeFile(Path, Text);
+      if (Wrote)
+        std::fprintf(stderr, "wrote %s to %s%s\n", What, Path.c_str(),
+                     Hint.c_str());
+      Ok &= Wrote;
+    };
     if (!TraceOut.empty()) {
-      Ok &= TraceSink::writeFile(TraceOut, Sink.chromeTraceJson());
+      write(TraceOut, "trace", Sink.chromeTraceJson(),
+            " (open in Perfetto or chrome://tracing)");
       TraceSink::cancelCrashFlush();
-      if (Ok)
-        std::fprintf(stderr, "wrote trace to %s (open in Perfetto or "
-                             "chrome://tracing)\n",
-                     TraceOut.c_str());
     }
-    if (!MetricsOut.empty()) {
-      Ok &= TraceSink::writeFile(MetricsOut, Sink.metricsJson());
-      if (Ok)
-        std::fprintf(stderr, "wrote metrics to %s\n", MetricsOut.c_str());
-    }
+    if (!MetricsOut.empty())
+      write(MetricsOut, "metrics", Sink.metricsJson(), "");
     if (!ProfileOut.empty() || !ProfileFolded.empty()) {
       Profiler P(Sink);
-      if (!ProfileOut.empty()) {
-        Ok &= TraceSink::writeFile(ProfileOut, P.speedscopeJson());
-        if (Ok)
-          std::fprintf(stderr, "wrote profile to %s (load at "
-                               "https://www.speedscope.app)\n",
-                       ProfileOut.c_str());
-      }
-      if (!ProfileFolded.empty()) {
-        Ok &= TraceSink::writeFile(ProfileFolded, P.collapsedStacks());
-        if (Ok)
-          std::fprintf(stderr, "wrote collapsed stacks to %s (feed to "
-                               "flamegraph.pl)\n",
-                       ProfileFolded.c_str());
-      }
+      if (!ProfileOut.empty())
+        write(ProfileOut, "profile", P.speedscopeJson(),
+              " (load at https://www.speedscope.app)");
+      if (!ProfileFolded.empty())
+        write(ProfileFolded, "collapsed stacks", P.collapsedStacks(),
+              " (feed to flamegraph.pl)");
     }
-    if (!JournalOut.empty()) {
-      Ok &= TraceSink::writeFile(JournalOut, SessionJournal.jsonl());
-      if (Ok)
-        std::fprintf(stderr, "wrote journal to %s (%zu records)\n",
-                     JournalOut.c_str(), SessionJournal.size());
-    }
+    if (!JournalOut.empty())
+      write(JournalOut, "journal", SessionJournal.jsonl(),
+            " (" + std::to_string(SessionJournal.size()) + " records)");
     return Ok;
-  }
-
-  /// One usage line describing the flags, for --help texts.
-  static const char *usage() {
-    return "[--trace-out=FILE] [--metrics-out=FILE] [--profile-out=FILE]\n"
-           "  [--profile-folded=FILE] [--journal-out=FILE] [--dot-dir=DIR]";
   }
 
 private:

@@ -49,6 +49,7 @@
 #include "cfg/Function.h"
 #include "opt/AnalysisManager.h"
 #include "replicate/Replication.h"
+#include "support/NameTable.h"
 #include "target/Target.h"
 
 #include <memory>
@@ -172,6 +173,13 @@ enum class OptLevel {
 
 /// Returns "SIMPLE"/"LOOPS"/"JUMPS".
 const char *optLevelName(OptLevel Level);
+
+/// Each level's lowercase name, as `--level=` and the server protocol
+/// spell it.
+inline constexpr support::NamedValue<OptLevel> OptLevelNames[] = {
+    {"simple", OptLevel::Simple},
+    {"loops", OptLevel::Loops},
+    {"jumps", OptLevel::Jumps}};
 
 /// Pipeline configuration.
 struct PipelineOptions {

@@ -8,52 +8,6 @@
 using namespace coderep;
 using namespace coderep::server;
 
-const char *server::targetWireName(target::TargetKind TK) {
-  return TK == target::TargetKind::M68 ? "m68" : "sparc";
-}
-
-bool server::parseTargetWireName(const std::string &Name,
-                                 target::TargetKind &TK) {
-  if (Name == "m68") {
-    TK = target::TargetKind::M68;
-    return true;
-  }
-  if (Name == "sparc") {
-    TK = target::TargetKind::Sparc;
-    return true;
-  }
-  return false;
-}
-
-const char *server::levelWireName(opt::OptLevel Level) {
-  switch (Level) {
-  case opt::OptLevel::Simple:
-    return "simple";
-  case opt::OptLevel::Loops:
-    return "loops";
-  case opt::OptLevel::Jumps:
-    return "jumps";
-  }
-  return "jumps";
-}
-
-bool server::parseLevelWireName(const std::string &Name,
-                                opt::OptLevel &Level) {
-  if (Name == "simple") {
-    Level = opt::OptLevel::Simple;
-    return true;
-  }
-  if (Name == "loops") {
-    Level = opt::OptLevel::Loops;
-    return true;
-  }
-  if (Name == "jumps") {
-    Level = opt::OptLevel::Jumps;
-    return true;
-  }
-  return false;
-}
-
 opt::PipelineOptions
 CompileRequest::pipelineOptions(const opt::PipelineOptions &Base) const {
   opt::PipelineOptions O = Base;

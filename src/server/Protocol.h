@@ -94,17 +94,29 @@ std::string encodeResponse(const CompileResponse &R);
 bool decodeResponse(const std::string &Payload, CompileResponse &Out,
                     std::string &Err);
 
+// The wire names of targets and levels are their target::TargetNames and
+// opt::OptLevelNames entries, the spellings of --target= and --level=.
+
 /// "sparc" / "m68" for the wire format and logs.
-const char *targetWireName(target::TargetKind TK);
+inline const char *targetWireName(target::TargetKind TK) {
+  return target::targetName(TK);
+}
 
 /// Parses a wire target name; returns false on unknown names.
-bool parseTargetWireName(const std::string &Name, target::TargetKind &TK);
+inline bool parseTargetWireName(const std::string &Name,
+                                target::TargetKind &TK) {
+  return support::valueOf(target::TargetNames, Name, TK);
+}
 
 /// "simple" / "loops" / "jumps" for the wire format and logs.
-const char *levelWireName(opt::OptLevel Level);
+inline const char *levelWireName(opt::OptLevel Level) {
+  return support::nameOf(opt::OptLevelNames, Level);
+}
 
 /// Parses a wire level name; returns false on unknown names.
-bool parseLevelWireName(const std::string &Name, opt::OptLevel &Level);
+inline bool parseLevelWireName(const std::string &Name, opt::OptLevel &Level) {
+  return support::valueOf(opt::OptLevelNames, Name, Level);
+}
 
 } // namespace coderep::server
 

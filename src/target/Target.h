@@ -20,6 +20,7 @@
 #define CODEREP_TARGET_TARGET_H
 
 #include "cfg/Function.h"
+#include "support/NameTable.h"
 
 #include <memory>
 
@@ -27,6 +28,16 @@ namespace coderep::target {
 
 /// The paper's two measured machines.
 enum class TargetKind { M68, Sparc };
+
+/// Each machine's lowercase name, as `--target=` and the server protocol
+/// spell it.
+inline constexpr support::NamedValue<TargetKind> TargetNames[] = {
+    {"m68", TargetKind::M68}, {"sparc", TargetKind::Sparc}};
+
+/// \p TK's entry in TargetNames.
+inline const char *targetName(TargetKind TK) {
+  return support::nameOf(TargetNames, TK);
+}
 
 /// A machine description.
 class Target {

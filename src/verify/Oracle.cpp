@@ -21,34 +21,6 @@
 using namespace coderep;
 using namespace coderep::verify;
 
-bool verify::parseGranularity(const std::string &Text, Granularity &Out) {
-  if (Text == "off")
-    Out = Granularity::Off;
-  else if (Text == "final")
-    Out = Granularity::Final;
-  else if (Text == "pass")
-    Out = Granularity::Pass;
-  else if (Text == "round")
-    Out = Granularity::Round;
-  else
-    return false;
-  return true;
-}
-
-const char *verify::granularityName(Granularity G) {
-  switch (G) {
-  case Granularity::Off:
-    return "off";
-  case Granularity::Final:
-    return "final";
-  case Granularity::Pass:
-    return "pass";
-  case Granularity::Round:
-    return "round";
-  }
-  return "?";
-}
-
 static const char *kindName(VerifyReport::Kind K) {
   switch (K) {
   case VerifyReport::Kind::Output:

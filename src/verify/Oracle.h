@@ -28,6 +28,7 @@
 
 #include "cfg/Function.h"
 #include "opt/Pipeline.h"
+#include "support/NameTable.h"
 
 #include <cstdint>
 #include <mutex>
@@ -45,11 +46,22 @@ enum class Granularity {
   Round, ///< after every fixpoint round (plus the final state)
 };
 
+/// Each granularity's name, as `--verify=` spells it.
+inline constexpr support::NamedValue<Granularity> GranularityNames[] = {
+    {"off", Granularity::Off},
+    {"final", Granularity::Final},
+    {"pass", Granularity::Pass},
+    {"round", Granularity::Round}};
+
 /// Parses "off"/"final"/"pass"/"round". Returns false on anything else.
-bool parseGranularity(const std::string &Text, Granularity &Out);
+inline bool parseGranularity(const std::string &Text, Granularity &Out) {
+  return support::valueOf(GranularityNames, Text, Out);
+}
 
 /// Returns the spelling parseGranularity accepts.
-const char *granularityName(Granularity G);
+inline const char *granularityName(Granularity G) {
+  return support::nameOf(GranularityNames, G);
+}
 
 /// Oracle configuration.
 struct OracleOptions {

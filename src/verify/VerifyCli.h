@@ -6,31 +6,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One place for the translation-validation flags every binary that
-/// compiles MiniC can expose:
-///
-///   --verify=off|final|pass|round  oracle granularity (default off)
-///   --verify-seed=N                root seed of the input battery
-///   --verify-inputs=N              inputs executed per comparison
-///
-/// plus the *hidden* mutation-testing flag --mutate-constant-folding,
-/// which makes the pipeline silently miscompile so the subsystem can
-/// prove it catches real miscompiles (deliberately absent from usage()).
-///
-/// Usage mirrors obs::ObsCli: consume() each argv entry, apply() onto
-/// the PipelineOptions before compiling, finish() after - it prints every
-/// mismatch and returns false when verification failed.
+/// The translation-validation settings and the oracle and bisimulation
+/// validator they ask for. addFlags() declares the --verify=,
+/// --verify-seed= and --verify-inputs= rows plus the *hidden* switch
+/// --mutate-constant-folding, which plants a miscompile so the subsystem
+/// can prove it catches one. apply() before compiling; finish() after
+/// prints every mismatch and returns false when verification failed.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CODEREP_VERIFY_VERIFYCLI_H
 #define CODEREP_VERIFY_VERIFYCLI_H
 
+#include "support/FlagTable.h"
 #include "verify/Bisim.h"
 #include "verify/Oracle.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 namespace coderep::verify {
@@ -38,48 +30,28 @@ namespace coderep::verify {
 /// Owns the oracle + bisimulation validator for one binary.
 class VerifyCli {
 public:
-  /// Returns true when \p Arg was one of the verification flags.
-  bool consume(const std::string &Arg) {
-    if (Arg.rfind("--verify=", 0) == 0) {
-      if (!parseGranularity(Arg.substr(9), Opts.Gran)) {
-        std::fprintf(stderr, "bad --verify value: %s\n", Arg.c_str() + 9);
-        std::exit(2);
-      }
-      return true;
-    }
-    if (Arg.rfind("--verify-seed=", 0) == 0) {
-      Opts.Seed = std::strtoull(Arg.c_str() + 14, nullptr, 10);
-      return true;
-    }
-    if (Arg.rfind("--verify-inputs=", 0) == 0) {
-      Opts.Inputs = std::atoi(Arg.c_str() + 16);
-      return true;
-    }
-    if (Arg == "--mutate-constant-folding") {
-      Mutate = true;
-      return true;
-    }
-    return false;
+  /// Declares the verification rows into \p Flags.
+  void addFlags(support::FlagTable &Flags) {
+    Flags.choice("verify", Opts.Gran, GranularityNames,
+                 "translation-validation granularity (default off)");
+    Flags.u64("verify-seed", Opts.Seed, "root seed of the oracle's inputs");
+    Flags.count("verify-inputs", Opts.Inputs, "inputs per oracle check", 1);
+    Flags.flag("mutate-constant-folding", Mutate, /*Help=*/nullptr);
   }
 
-  bool active() const { return Opts.Gran != Granularity::Off || Mutate; }
-
   /// Instantiates the oracle/validator and wires them into \p Options.
-  /// \p Sink, when given, receives "verify <fn>" spans and the verify.*
-  /// metrics at finish().
-  void apply(opt::PipelineOptions &Options, obs::TraceSink *Sink = nullptr) {
+  /// The trace sink already in \p Options, if any, receives "verify <fn>"
+  /// spans; pass it to finish() for the verify.* metrics.
+  void apply(opt::PipelineOptions &Options) {
     Options.MutateForTesting = Mutate;
     if (Opts.Gran == Granularity::Off)
       return;
-    Opts.Sink = Sink;
+    Opts.Sink = Options.Trace.Sink;
     TheOracle = std::make_unique<Oracle>(Opts);
     TheBisim = std::make_unique<BisimValidator>();
     Options.Verifier = TheOracle.get();
     Options.Replication.Validator = TheBisim.get();
   }
-
-  Oracle *oracle() { return TheOracle.get(); }
-  BisimValidator *bisim() { return TheBisim.get(); }
 
   /// Prints every recorded mismatch and a one-line summary; returns false
   /// when any oracle or bisimulation check failed.
@@ -109,11 +81,8 @@ public:
 
   const OracleOptions &options() const { return Opts; }
 
-  /// One usage line for --help texts (the mutation flag stays hidden).
-  static const char *usage() {
-    return "[--verify=off|final|pass|round] [--verify-seed=N] "
-           "[--verify-inputs=N]";
-  }
+  /// True when --mutate-constant-folding was given.
+  bool mutate() const { return Mutate; }
 
 private:
   OracleOptions Opts = [] {

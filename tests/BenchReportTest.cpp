@@ -9,6 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchReport.h"
+#include "support/FlagTable.h"
 
 #include <gtest/gtest.h>
 
@@ -186,17 +187,20 @@ TEST(BenchReportTest, BaselineCountsOneValuePerSha) {
 
 TEST(BenchReportTest, ReportFlagsAreStrict) {
   ReportOptions Opts;
-  EXPECT_TRUE(parseReportFlag("--threshold=2.5", Opts));
+  coderep::support::FlagTable Flags("t");
+  Opts.addFlags(Flags);
+  EXPECT_EQ(Flags.parse({"--threshold=2.5"}), "");
   EXPECT_DOUBLE_EQ(Opts.ThresholdPct, 2.5);
-  EXPECT_TRUE(parseReportFlag("--window=3", Opts));
+  EXPECT_EQ(Flags.parse({"--window=3"}), "");
   EXPECT_EQ(Opts.Window, 3);
   for (const char *Bad : {"abc", "10x", "-1", "", "0", " 5", "nan"}) {
-    EXPECT_FALSE(parseReportFlag(std::string("--threshold=") + Bad, Opts))
-        << Bad;
-    EXPECT_FALSE(parseReportFlag(std::string("--window=") + Bad, Opts)) << Bad;
+    EXPECT_NE(Flags.parse({std::string("--threshold=") + Bad}), "") << Bad;
+    EXPECT_NE(Flags.parse({std::string("--window=") + Bad}), "") << Bad;
   }
-  EXPECT_FALSE(parseReportFlag("--window=2.5", Opts));
-  EXPECT_FALSE(parseReportFlag("--markdown-out=x", Opts));
+  for (const char *Bad : {"--threshold=inf", "--threshold=1e3",
+                          "--threshold=0x10", "--window=2.5",
+                          "--markdown-out=x"})
+    EXPECT_NE(Flags.parse({Bad}), "") << Bad;
   // Rejected values leave the options as they were.
   EXPECT_DOUBLE_EQ(Opts.ThresholdPct, 2.5);
   EXPECT_EQ(Opts.Window, 3);

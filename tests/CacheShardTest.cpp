@@ -17,6 +17,7 @@
 #include "cache/PipelineCli.h"
 #include "cfg/FunctionPrinter.h"
 #include "driver/Compiler.h"
+#include "support/FlagTable.h"
 
 #include <gtest/gtest.h>
 
@@ -246,37 +247,43 @@ TEST(CacheShardMultiProcess, ConcurrentWritersNeverTearEntries) {
   fs::remove_all(Dir);
 }
 
-// The shared pipeline flags parse their numbers strictly. A malformed value
-// is left unconsumed, so the binary rejects it as an unknown option instead
-// of misreading it ("--cache-budget=1.5G" must not become a 1-byte budget
-// that evicts every entry, nor "--jobs=abc" mean every core).
+// The shared pipeline flags parse their numbers strictly: a malformed value
+// is a usage error, not a misreading ("--cache-budget=1.5G" must not become
+// a 1-byte budget that evicts every entry, nor "--jobs=abc" mean every core).
 TEST(CacheShard, PipelineCliRejectsMalformedNumbers) {
   cache::PipelineCli Cli;
-  EXPECT_TRUE(Cli.consume("--jobs=3"));
+  support::FlagTable Flags("t");
+  Cli.addFlags(Flags);
+  EXPECT_EQ(Flags.parse({"--jobs=3"}), "");
   EXPECT_EQ(Cli.jobs(), 3);
   for (const char *Bad : {"--jobs=abc", "--jobs=", "--jobs=-2", "--jobs=+2",
-                          "--jobs=4x", "--jobs=99999999999"})
-    EXPECT_FALSE(Cli.consume(Bad)) << Bad;
+                          "--jobs=4x", "--jobs=99999999999", "--jobs"})
+    EXPECT_NE(Flags.parse({Bad}), "") << Bad;
   EXPECT_EQ(Cli.jobs(), 3) << "a rejected value must leave the state alone";
-  EXPECT_TRUE(Cli.consume("--jobs"));
-  EXPECT_EQ(Cli.jobs(), 0);
 
-  EXPECT_TRUE(Cli.consume("--cache-budget=256M"));
-  EXPECT_FALSE(Cli.consume("--cache-budget=1.5G"));
+  EXPECT_EQ(Flags.parse({"--cache-budget=256M"}), "");
+  EXPECT_NE(Flags.parse({"--cache-budget=1.5G"}), "");
+  EXPECT_EQ(Flags.parse({"--pipeline-cache"}), ""); // bare: in memory
+  EXPECT_NE(Flags.parse({"--pipeline-cache="}), "");
 
+  support::FlagTable Bytes("t");
+  int64_t Budget = -1;
+  Bytes.bytes("cache-budget", Budget, "h");
   const std::pair<const char *, int64_t> Good[] = {
       {"0", 0}, {"4096", 4096}, {"64k", 64 << 10}, {"8M", 8 << 20},
-      {"1G", int64_t(1) << 30}};
+      {"1G", int64_t(1) << 30}, {"8589934591G", INT64_MAX >> 30 << 30}};
   for (const auto &[Text, Want] : Good) {
-    int64_t Bytes = -1;
-    EXPECT_TRUE(cache::PipelineCli::parseBytes(Text, Bytes)) << Text;
-    EXPECT_EQ(Bytes, Want) << Text;
+    Budget = -1;
+    EXPECT_EQ(Bytes.parse({std::string("--cache-budget=") + Text}), "")
+        << Text;
+    EXPECT_EQ(Budget, Want) << Text;
   }
-  for (const char *Bad :
-       {"", "1.5G", "-1", "10X", "G", "1GB", "99999999999999G"}) {
-    int64_t Bytes = -1;
-    EXPECT_FALSE(cache::PipelineCli::parseBytes(Bad, Bytes)) << Bad;
-    EXPECT_EQ(Bytes, -1) << Bad;
+  for (const char *Bad : {"", "1.5G", "-1", "10X", "G", "1GB",
+                          "99999999999999G", "8589934592G",
+                          "99999999999999999999"}) {
+    Budget = -1;
+    EXPECT_NE(Bytes.parse({std::string("--cache-budget=") + Bad}), "") << Bad;
+    EXPECT_EQ(Budget, -1) << Bad;
   }
 }
 

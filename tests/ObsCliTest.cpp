@@ -1,15 +1,16 @@
 //===- ObsCliTest.cpp - Shared observability flag handling tests ----------===//
 //
-// Covers obs::ObsCli, the flag parser every example and bench binary
-// shares: flag recognition, the null-sink fast path when no flag is given,
-// config() wiring for sink and journal, and finish() writing each
-// requested artifact as valid JSON.
+// Covers obs::ObsCli, the observability outputs the compiling binaries
+// share: the null-sink fast path when no flag is given, config() wiring
+// for sink and journal, and finish() writing each requested artifact as
+// valid JSON. FlagTableTest covers how its rows parse.
 //
 //===----------------------------------------------------------------------===//
 
 #include "obs/ObsCli.h"
 
 #include "obs/ScopedTimer.h"
+#include "support/FlagTable.h"
 
 #include "TestJson.h"
 
@@ -19,6 +20,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -43,22 +45,15 @@ std::string slurp(const std::string &Path) {
   return SS.str();
 }
 
-TEST(ObsCliTest, ConsumeRecognizesExactlyTheObsFlags) {
-  ObsCli Cli;
-  EXPECT_TRUE(Cli.consume("--trace-out=/tmp/t.json"));
-  EXPECT_TRUE(Cli.consume("--metrics-out=/tmp/m.json"));
-  EXPECT_TRUE(Cli.consume("--profile-out=/tmp/p.json"));
-  EXPECT_TRUE(Cli.consume("--profile-folded=/tmp/p.folded"));
-  EXPECT_TRUE(Cli.consume("--journal-out=/tmp/j.jsonl"));
-  EXPECT_TRUE(Cli.consume("--dot-dir=/tmp/dots"));
-  EXPECT_FALSE(Cli.consume("--level=jumps"));
-  EXPECT_FALSE(Cli.consume("--trace-out")); // missing '=': not ours
-  EXPECT_FALSE(Cli.consume("trace-out=/tmp/t.json"));
+/// Parses \p Args through a table holding only \p Cli's rows.
+void parse(ObsCli &Cli, const std::vector<std::string> &Args) {
+  support::FlagTable Flags("obscli_test");
+  Cli.addFlags(Flags);
+  ASSERT_EQ(Flags.parse(Args), "");
 }
 
 TEST(ObsCliTest, InactiveWithoutFlagsKeepsNullSink) {
   ObsCli Cli;
-  EXPECT_FALSE(Cli.active());
   TraceConfig C = Cli.config();
   EXPECT_EQ(C.Sink, nullptr);
   EXPECT_EQ(C.SessionJournal, nullptr);
@@ -71,8 +66,7 @@ TEST(ObsCliTest, JournalOnlyRunSkipsTheSink) {
   // --journal-out alone must not pay for event recording: the sink stays
   // null while the journal is wired.
   ObsCli Cli("journal_only");
-  ASSERT_TRUE(Cli.consume("--journal-out=" + tempPath("j.jsonl")));
-  EXPECT_TRUE(Cli.active());
+  parse(Cli, {"--journal-out=" + tempPath("j.jsonl")});
   TraceConfig C = Cli.config();
   EXPECT_EQ(C.Sink, nullptr);
   ASSERT_NE(C.SessionJournal, nullptr);
@@ -87,11 +81,9 @@ TEST(ObsCliTest, FinishWritesEveryRequestedArtifact) {
               Profile = tempPath("p.json"), Folded = tempPath("p.folded"),
               JournalP = tempPath("j2.jsonl");
   ObsCli Cli("obscli_test");
-  for (const std::string &Arg :
-       {"--trace-out=" + Trace, "--metrics-out=" + Metrics,
-        "--profile-out=" + Profile, "--profile-folded=" + Folded,
-        "--journal-out=" + JournalP})
-    ASSERT_TRUE(Cli.consume(Arg));
+  parse(Cli, {"--trace-out=" + Trace, "--metrics-out=" + Metrics,
+              "--profile-out=" + Profile, "--profile-folded=" + Folded,
+              "--journal-out=" + JournalP});
 
   TraceConfig C = Cli.config();
   ASSERT_NE(C.Sink, nullptr);
@@ -125,7 +117,7 @@ TEST(ObsCliTest, FinishWritesEveryRequestedArtifact) {
 
 TEST(ObsCliTest, FinishFailsOnUnwritablePath) {
   ObsCli Cli;
-  ASSERT_TRUE(Cli.consume("--metrics-out=/nonexistent-dir/metrics.json"));
+  parse(Cli, {"--metrics-out=/nonexistent-dir/metrics.json"});
   (void)Cli.config();
   EXPECT_FALSE(Cli.finish());
 }

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -89,6 +90,13 @@ TEST(ProfilerTest, CollapsedStacksNestPaths) {
     {
       ScopedTimer Opt(&Sink, "optimize");
       ScopedTimer Inner(&Sink, "replicate");
+      // Collapsed stacks leave out paths with no self time, and the sink
+      // stamps events in whole microseconds: keep the innermost span open
+      // long enough to own some.
+      const auto Start = std::chrono::steady_clock::now();
+      while (std::chrono::steady_clock::now() - Start <
+             std::chrono::microseconds(3))
+        ;
     }
   }
 

@@ -34,10 +34,6 @@ const target::TargetKind AllTargets[] = {target::TargetKind::Sparc,
 const opt::OptLevel AllLevels[] = {opt::OptLevel::Simple, opt::OptLevel::Loops,
                                    opt::OptLevel::Jumps};
 
-const char *targetName(target::TargetKind TK) {
-  return TK == target::TargetKind::M68 ? "m68" : "sparc";
-}
-
 /// Random seeds are checked in blocks so ctest can spread them over cores.
 constexpr int SeedsPerBlock = 20;
 constexpr int NumSeedBlocks = 10; // seeds 1..200
@@ -91,7 +87,7 @@ std::vector<Config> configsFor(const DiffParam &P) {
     const BenchProgram &BP = suite()[static_cast<size_t>(P.Index)];
     for (target::TargetKind TK : AllTargets)
       for (opt::OptLevel Level : AllLevels)
-        Out.push_back({BP.Name + "/" + targetName(TK) + "/" +
+        Out.push_back({BP.Name + "/" + target::targetName(TK) + "/" +
                            opt::optLevelName(Level),
                        BP.Source, TK, Level});
     return Out;
@@ -196,7 +192,7 @@ TEST(ReferencePipeline, ParallelCachedStackMatchesSerialReference) {
       for (const char *Round : {"cold", "warm"})
         EXPECT_EQ(compileWith(BP.Source, TK, opt::OptLevel::Jumps, Stack).Text,
                   Ref)
-            << BP.Name << "/" << targetName(TK) << " " << Round;
+            << BP.Name << "/" << target::targetName(TK) << " " << Round;
     }
   }
   EXPECT_GT(Cache.hits(), 0);

@@ -341,7 +341,7 @@ TEST(MetricsTest, ScopedTimerAccumulatesWithoutSink) {
   int64_t Us = 0;
   {
     ScopedTimer T(nullptr, "unused", &Us);
-    volatile int Spin = 0;
+    volatile int64_t Spin = 0;
     for (int I = 0; I < 100000; ++I)
       Spin = Spin + I;
     (void)Spin;
