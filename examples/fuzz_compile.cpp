@@ -30,6 +30,7 @@
 #include "frontend/CodeGen.h"
 #include "obs/ObsCli.h"
 #include "support/FlagTable.h"
+#include "support/Format.h"
 #include "support/ThreadPool.h"
 #include "verify/Bisim.h"
 #include "verify/Oracle.h"
@@ -64,7 +65,9 @@ struct FuzzJob {
 
 struct FuzzOutcome {
   bool Failed = false;
-  std::string Report; ///< rendered failure lines, one per '\n'
+  std::string Report;    ///< rendered failure lines, one per '\n'
+  std::string Reduction; ///< the reducer's verdict line, under --reduce
+  int ReproBlocks = -1;  ///< reduced block count, -1 when not reduced
   verify::OracleCounters Oracle;
   int64_t BisimChecks = 0;
 };
@@ -174,24 +177,27 @@ FuzzOutcome checkJob(const FuzzConfig &C, const FuzzJob &J) {
   return Out;
 }
 
-/// Reduces a failing job and (when --repro-dir is given) writes the
-/// artifacts. Returns the reduced block count, or -1 when the reduction
-/// did not reproduce the mismatch (e.g. an input-dependent suite failure;
-/// the reducer runs programs without input).
-int reduceAndDump(const FuzzConfig &C, const FuzzJob &J,
-                  const std::string &Report) {
+/// Reduces a failing job into \p Out and (when --repro-dir is given)
+/// writes the artifacts. ReproBlocks stays -1 when the reduction did not
+/// reproduce the mismatch (e.g. an input-dependent suite failure; the
+/// reducer runs programs without input).
+void reduceAndDump(const FuzzConfig &C, const FuzzJob &J, FuzzOutcome &Out) {
   verify::ReduceOptions RO;
   RO.TK = J.TK;
   RO.Level = J.Level;
   RO.Pipeline.MutateForTesting = C.Mutate;
   verify::ReduceResult R = verify::reduce(J.Source, RO);
 
-  std::fprintf(stderr,
-               "%s: %s, repro %d lines / %d blocks\n", J.Name.c_str(),
-               R.Mismatch ? "reduced" : "reduction did not reproduce",
-               R.SourceLines, R.Blocks);
+  Out.Reduction = format("%s: %s, repro %d lines / %d blocks\n",
+                         J.Name.c_str(),
+                         R.Mismatch ? "reduced" : "reduction did not reproduce",
+                         R.SourceLines, R.Blocks);
+  if (R.Mismatch)
+    Out.ReproBlocks = R.Blocks;
   if (!C.ReproDir.empty()) {
-    std::filesystem::create_directories(C.ReproDir);
+    // Workers may race to create it; whoever loses sees it exist.
+    std::error_code Ignored;
+    std::filesystem::create_directories(C.ReproDir, Ignored);
     std::string Stem = J.Name;
     for (char &Ch : Stem)
       if (Ch == '/')
@@ -200,11 +206,10 @@ int reduceAndDump(const FuzzConfig &C, const FuzzJob &J,
     std::ofstream(Base + ".mc") << (R.Mismatch ? R.Source : J.Source);
     std::ofstream(Base + ".rtl") << R.RtlDump;
     std::ofstream(Base + ".report.txt")
-        << Report << "reduced: " << (R.Mismatch ? "yes" : "no")
+        << Out.Report << "reduced: " << (R.Mismatch ? "yes" : "no")
         << "\nsource lines: " << R.SourceLines
         << "\nblocks: " << R.Blocks << "\n";
   }
-  return R.Mismatch ? R.Blocks : -1;
 }
 
 } // namespace
@@ -271,14 +276,18 @@ int main(int Argc, char **Argv) {
           Jobs.push_back(std::move(J));
         }
 
-  // Fan out over the shared pool; results land in job order.
+  // Fan out over the shared pool; results land in job order. A failing
+  // job is reduced on the worker that found it, so reductions overlap.
   std::vector<FuzzOutcome> Outcomes(Jobs.size());
   {
     // --jobs=0 gives ThreadPool(0): every core.
     ThreadPool Pool(static_cast<unsigned>(
         std::min(static_cast<size_t>(C.Jobs), Jobs.size())));
-    Pool.parallelFor(Jobs.size(),
-                     [&](size_t I) { Outcomes[I] = checkJob(C, Jobs[I]); });
+    Pool.parallelFor(Jobs.size(), [&](size_t I) {
+      Outcomes[I] = checkJob(C, Jobs[I]);
+      if (Outcomes[I].Failed && C.Reduce)
+        reduceAndDump(C, Jobs[I], Outcomes[I]);
+    });
   }
 
   verify::OracleCounters Total;
@@ -295,12 +304,9 @@ int main(int Argc, char **Argv) {
     if (!O.Failed)
       continue;
     ++Failures;
-    std::fprintf(stderr, "%s", O.Report.c_str());
-    if (C.Reduce) {
-      const int Blocks = reduceAndDump(C, Jobs[I], O.Report);
-      if (Blocks >= 0 && (BestRepro < 0 || Blocks < BestRepro))
-        BestRepro = Blocks;
-    }
+    std::fprintf(stderr, "%s%s", O.Report.c_str(), O.Reduction.c_str());
+    if (O.ReproBlocks >= 0 && (BestRepro < 0 || O.ReproBlocks < BestRepro))
+      BestRepro = O.ReproBlocks;
   }
 
   std::printf("fuzz_compile: %zu configs, %lld oracle checks, %lld inputs, "

@@ -6,10 +6,8 @@ cd "$(dirname "$0")"
 
 # Refuse to produce a partial report: every bench binary must exist.
 ALL_BENCHES="table1_loop_exit table2_if_then_else fig1_natural_loops \
-         fig2_overlap fig3_phase_order table4_jump_fraction \
-         table5_instructions table6_cache sec52_branch_stats \
-         ablation_heuristics ablation_length_cap bench_compile \
-         bench_report micro_algorithms"
+         fig2_overlap paper_tables bench_compile bench_report \
+         micro_algorithms"
 MISSING=""
 for b in $ALL_BENCHES; do
   if [ ! -x "./build/bench/$b" ]; then
@@ -23,9 +21,7 @@ if [ -n "$MISSING" ]; then
 fi
 
 for b in table1_loop_exit table2_if_then_else fig1_natural_loops \
-         fig2_overlap fig3_phase_order table4_jump_fraction \
-         table5_instructions table6_cache sec52_branch_stats \
-         ablation_heuristics ablation_length_cap; do
+         fig2_overlap paper_tables; do
   echo "##### bench/$b #####"
   ./build/bench/$b
   echo

@@ -63,7 +63,7 @@ struct ReplicationOptions {
 
   /// Maximum RTLs a single replication may copy (-1 = unlimited). The
   /// paper's Section 6 proposes this cap to trade dynamic improvement for
-  /// code size; bench/ablation_length_cap sweeps it.
+  /// code size; bench/paper_tables' length-cap ablation sweeps it.
   int64_t MaxSequenceRtls = -1;
 
   /// Backstop on total function growth, as a multiple of the baseline RTL

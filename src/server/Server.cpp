@@ -9,6 +9,7 @@
 #include <chrono>
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace coderep;
@@ -53,11 +54,14 @@ bool CompileServer::start(std::string &Err) {
   ListenFd = listenUnix(Options.SocketPath, Err);
   if (!ListenFd.valid())
     return false;
+  struct stat Bound;
+  if (::stat(Options.SocketPath.c_str(), &Bound) == 0)
+    BoundFile = {Bound.st_dev, Bound.st_ino};
 
   int Pipe[2];
   if (::pipe(Pipe) != 0) {
     Err = "pipe: failed to create stop pipe";
-    ListenFd.reset();
+    closeListener();
     return false;
   }
   WakeRead.reset(Pipe[0]);
@@ -150,7 +154,7 @@ void CompileServer::acceptLoop() {
   // (SHUT_RD lets a response in flight still flush), then join them. A
   // reader mid-compile finishes and writes its response before seeing
   // the EOF on its next read.
-  ListenFd.reset();
+  closeListener();
   std::vector<std::unique_ptr<Connection>> ToJoin;
   {
     std::lock_guard<std::mutex> Lock(ConnMu);
@@ -161,6 +165,16 @@ void CompileServer::acceptLoop() {
   for (auto &C : ToJoin)
     if (C->Reader.joinable())
       C->Reader.join();
+}
+
+void CompileServer::closeListener() {
+  // Give the rendezvous name back, unless the file there is no longer the
+  // one this server bound (someone removed it and a new server took it).
+  struct stat Now;
+  if (::stat(Options.SocketPath.c_str(), &Now) == 0 &&
+      std::pair(Now.st_dev, Now.st_ino) == BoundFile)
+    ::unlink(Options.SocketPath.c_str());
+  ListenFd.reset();
 }
 
 void CompileServer::readerLoop(Connection *Conn) {

@@ -30,9 +30,10 @@
 /// (no new tenants), every connection's read side is shut down (idle
 /// readers wake with EOF; a reader mid-request finishes its compile and
 /// writes the response first - pending writes still flush after SHUT_RD),
-/// reader threads are joined, and wait() returns so the daemon can flush
-/// telemetry and exit. requestStop is async-signal-safe: it only writes a
-/// byte to a self-pipe; the accept thread does the actual teardown.
+/// reader threads are joined, the socket file is unlinked, and wait()
+/// returns so the daemon can flush telemetry and exit. requestStop is
+/// async-signal-safe: it only writes a byte to a self-pipe; the accept
+/// thread does the actual teardown.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +53,10 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include <sys/types.h>
 
 namespace coderep::server {
 
@@ -110,16 +114,18 @@ public:
   CompileServer &operator=(const CompileServer &) = delete;
 
   /// Binds the socket, spawns the pool and the accept thread. Returns
-  /// false and sets \p Err when the socket cannot be created.
+  /// false and sets \p Err when the socket cannot be created, e.g. when
+  /// a live server already accepts on its path.
   bool start(std::string &Err);
 
   /// Initiates graceful drain. Async-signal-safe (writes one byte to a
   /// self-pipe); may be called multiple times.
   void requestStop();
 
-  /// Blocks until the server has fully drained: listener closed, every
-  /// reader joined, every in-flight compile finished and its response
-  /// written. Publishes final metrics into the sink. Idempotent.
+  /// Blocks until the server has fully drained: listener closed and its
+  /// socket file unlinked, every reader joined, every in-flight compile
+  /// finished and its response written. Publishes final metrics into the
+  /// sink. Idempotent.
   void wait();
 
   /// True between a successful start() and the end of wait().
@@ -137,6 +143,8 @@ private:
   struct Connection;
 
   void acceptLoop();
+  /// Unlinks the socket file this server bound, then closes the listener.
+  void closeListener();
   void readerLoop(Connection *Conn);
   CompileResponse handle(const CompileRequest &Req);
   void noteServed(const CompileRequest &Req, const CompileResponse &Resp,
@@ -144,6 +152,7 @@ private:
 
   ServerOptions Options;
   Fd ListenFd;
+  std::pair<dev_t, ino_t> BoundFile{}; ///< the socket file start() bound
   Fd WakeRead, WakeWrite; ///< self-pipe: requestStop -> accept thread
   std::unique_ptr<ThreadPool> Pool;
   std::thread AcceptThread;

@@ -125,8 +125,14 @@ Fd coderep::server::listenUnix(const std::string &Path, std::string &Err,
     Err = std::string("socket: ") + std::strerror(errno);
     return Fd();
   }
-  // A previous daemon's socket file would make bind fail with EADDRINUSE;
-  // the file is just a rendezvous name, so replace it.
+  // The file is just a rendezvous name. If a live server accepts on it,
+  // the name is taken; anything else there (a killed daemon's stale
+  // socket) would only make bind fail with EADDRINUSE, so replace it.
+  std::string ProbeErr;
+  if (connectUnix(Path, ProbeErr).valid()) {
+    Err = "socket " + Path + " is in use by a running server";
+    return Fd();
+  }
   ::unlink(Path.c_str());
   if (::bind(Sock.get(), reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) <
       0) {

@@ -57,9 +57,10 @@ bool sendFrame(int FdNum, const std::string &Payload);
 /// diagnostic marker only in the sense of being cleared).
 bool recvFrame(int FdNum, std::string &Payload);
 
-/// Binds and listens on a Unix-domain socket at \p Path, unlinking any
-/// stale socket file first. Returns an invalid Fd and sets \p Err on
-/// failure. \p Backlog is the listen(2) backlog.
+/// Binds and listens on a Unix-domain socket at \p Path, replacing a
+/// stale file there. Fails when a live server accepts connections on
+/// \p Path. Returns an invalid Fd and sets \p Err on failure. \p Backlog
+/// is the listen(2) backlog.
 Fd listenUnix(const std::string &Path, std::string &Err, int Backlog = 128);
 
 /// Accepts one connection; blocks. Returns an invalid Fd on error (e.g.

@@ -89,7 +89,7 @@ std::vector<Binary> binaries() {
       {CODEREP_EXAMPLES_DIR, "inspect_replication", each(concat({Pipe, Obs}))},
       {CODEREP_EXAMPLES_DIR, "cache_study", each(concat({Pipe, Obs}))},
       {CODEREP_EXAMPLES_DIR, "quickstart", each(Obs)},
-      {CODEREP_BENCH_DIR, "table5_instructions", each(Obs)},
+      {CODEREP_BENCH_DIR, "paper_tables", each(Obs)},
       {CODEREP_BENCH_DIR, "bench_compile",
        each(concat({{"--jobs=abc", "--jobs=-1"}, Obs}))},
       {CODEREP_BENCH_DIR, "bench_report", reportCases()},
@@ -97,11 +97,8 @@ std::vector<Binary> binaries() {
   // The once-silent misparse, spelled as a user would run it.
   Out[0].Malformed.push_back(
       {Queens, "--verify=final", "--verify-inputs=abc"});
-  for (const char *Name :
-       {"table1_loop_exit", "table2_if_then_else", "table4_jump_fraction",
-        "table6_cache", "sec52_branch_stats", "fig1_natural_loops",
-        "fig2_overlap", "fig3_phase_order", "ablation_heuristics",
-        "ablation_length_cap"})
+  for (const char *Name : {"table1_loop_exit", "table2_if_then_else",
+                           "fig1_natural_loops", "fig2_overlap"})
     Out.push_back({CODEREP_BENCH_DIR, Name, each(NoFlags)});
   for (Binary &B : Out)
     B.Malformed.insert(B.Malformed.begin(), {"--no-such-flag"});

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -73,12 +74,15 @@ struct DiffParam {
   int Index;
 };
 
-std::string paramName(const ::testing::TestParamInfo<DiffParam> &Info) {
-  if (!Info.param.Random)
-    return suite()[static_cast<size_t>(Info.param.Index)].Name;
-  const int First = Info.param.Index * SeedsPerBlock + 1;
-  return "seeds_" + std::to_string(First) + "_" +
-         std::to_string(First + SeedsPerBlock - 1);
+/// Names the instance in gtest's and ctest's test names. gtest's default
+/// prints the struct's bytes, and its padding bytes are not initialised.
+void PrintTo(const DiffParam &P, std::ostream *OS) {
+  if (!P.Random) {
+    *OS << suite()[static_cast<size_t>(P.Index)].Name;
+    return;
+  }
+  const int First = P.Index * SeedsPerBlock + 1;
+  *OS << "seeds_" << First << "_" << First + SeedsPerBlock - 1;
 }
 
 std::vector<Config> configsFor(const DiffParam &P) {
@@ -163,7 +167,7 @@ INSTANTIATE_TEST_SUITE_P(
         Ps.push_back({false, static_cast<int>(I)});
       return Ps;
     }()),
-    paramName);
+    ::testing::PrintToStringParamName());
 
 INSTANTIATE_TEST_SUITE_P(
     Random, ReferenceVsDefault,
@@ -173,7 +177,7 @@ INSTANTIATE_TEST_SUITE_P(
         Ps.push_back({true, B});
       return Ps;
     }()),
-    paramName);
+    ::testing::PrintToStringParamName());
 
 // The whole throughput stack at once - parallel driver, function cache
 // (cold, then warm) and the default pipeline - against the serial

@@ -3,8 +3,10 @@
 // Covers the codrepd building blocks end to end: the framed payload codec
 // (round-trips, corrupt-frame rejection), the daemon core over a real
 // Unix-domain socket (byte-identity with one-shot driver::compile, warm
-// cache hits, compile and protocol error paths), and graceful drain
-// (in-flight requests answered, listener closed, stats final).
+// cache hits, compile and protocol error paths), graceful drain
+// (in-flight requests answered, listener closed, stats final) and the
+// socket file's lifecycle (unlinked by the drain, never taken from a live
+// server, replaced when stale).
 //
 // The CompileServer suite runs in the TSan CI matrix: the accept thread,
 // reader threads, pool workers and the shared cache are exactly the
@@ -323,6 +325,55 @@ TEST(CompileServer, GracefulDrainFinishesInFlightWork) {
   // An idle drained connection reads EOF, not a torn frame.
   EXPECT_FALSE(Conn.roundtrip(Req, Resp, Err));
   TS.reset();
+}
+
+/// One compile of queens over a fresh connection to \p Socket.
+bool answers(const std::string &Socket) {
+  server::Client Conn;
+  std::string Err;
+  server::CompileRequest Req;
+  Req.Name = "queens";
+  Req.Source = program("queens").Source;
+  server::CompileResponse Resp;
+  return Conn.connect(Socket, Err) && Conn.roundtrip(Req, Resp, Err) &&
+         Resp.Ok;
+}
+
+bool exists(const std::string &Path) {
+  return ::access(Path.c_str(), F_OK) == 0;
+}
+
+TEST(CompileServer, DrainUnlinksTheSocketFile) {
+  TestServer TS("unlink");
+  ASSERT_TRUE(exists(TS.Socket));
+  TS.Server->requestStop();
+  TS.Server->wait();
+  EXPECT_FALSE(exists(TS.Socket));
+}
+
+TEST(CompileServer, SecondServerOnALivePathFails) {
+  TestServer First("live");
+  server::ServerOptions SO;
+  SO.SocketPath = First.Socket;
+  server::CompileServer Second(std::move(SO));
+  std::string Err;
+  EXPECT_FALSE(Second.start(Err));
+  EXPECT_NE(Err.find("in use"), std::string::npos) << Err;
+  EXPECT_TRUE(answers(First.Socket));
+}
+
+TEST(CompileServer, StaleSocketFileIsReplaced) {
+  const std::string Socket = tempSocket("stale");
+  {
+    // A killed daemon's leftover: bound, then closed without unlinking.
+    std::string Err;
+    server::Fd Dead = server::listenUnix(Socket, Err);
+    ASSERT_TRUE(Dead.valid()) << Err;
+  }
+  ASSERT_TRUE(exists(Socket));
+  TestServer TS("stale");
+  EXPECT_TRUE(TS.Server->running());
+  EXPECT_TRUE(answers(Socket));
 }
 
 TEST(CompileServer, ServeLocalMatchesSocketPath) {
