@@ -19,12 +19,11 @@
 //    plain default-pipeline compile, next to the fn.compile_us quantiles
 //    the instrumented side recorded (fn_compile_p{50,90,99}_us).
 //
-// Usage: bench_compile [OUT.json] [--jobs=N] [observability flags]
+// Usage: bench_compile [OUT.json] [observability flags]
 //
-// --jobs=N fans the (target, program) tasks of the reference/default sweep
-// over a thread pool (default: every core); each individual compile stays
-// serial so its timing remains meaningful, and results are reduced in task
-// order so the report is deterministic at any N.
+// Every compile is timed serially, one at a time: with four timed at once
+// on a 4-vCPU machine, single fastest-of-3 timings saw 5x outliers and
+// failed the per-program regression check on about half the runs.
 //
 // Exit status: 2 on any other option; 1 when a program's default compile
 // is slower than its reference compile beyond noise (see
@@ -39,16 +38,13 @@
 #include "obs/ScopedTimer.h"
 #include "support/FlagTable.h"
 #include "support/Format.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <ctime>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace coderep;
@@ -141,10 +137,8 @@ std::string isoUtcNow() {
 int main(int argc, char **argv) {
   obs::ObsCli Obs("bench_compile");
   std::string OutPath = "BENCH_compile.json";
-  int JobsFlag = 0; // 0 = every core
   support::FlagTable Flags("bench_compile");
   Flags.positional(OutPath, "OUT.json", "results (default BENCH_compile.json)");
-  Flags.count("jobs", JobsFlag, "tasks timed at once (0 = every core)");
   Obs.addFlags(Flags);
   Flags.parseOrExit(argc, argv);
   obs::TraceSink *Trace = Obs.sink();
@@ -154,65 +148,26 @@ int main(int argc, char **argv) {
   Reference.Reference = true;
 
   // One task per (target, program): the reference and the default
-  // pipeline timed back to back. Tasks fan out over the pool; each compile
-  // inside a task stays serial so the per-compile numbers remain
-  // meaningful.
+  // pipeline timed back to back, one compile at a time.
   std::vector<std::pair<target::TargetKind, const BenchProgram *>> Tasks;
   for (target::TargetKind TK :
        {target::TargetKind::Sparc, target::TargetKind::M68})
     for (const BenchProgram &BP : suite())
       Tasks.emplace_back(TK, &BP);
 
-  unsigned Jobs = JobsFlag == 0 ? std::thread::hardware_concurrency()
-                                : static_cast<unsigned>(JobsFlag);
-  Jobs = std::clamp<unsigned>(Jobs, 1, static_cast<unsigned>(Tasks.size()));
-
-  struct TaskResult {
-    int64_t ReferenceUs = 0, DefaultUs = 0;
-  };
-  std::vector<TaskResult> Results(Tasks.size());
-  auto runTask = [&](size_t I) {
-    const auto &[TK, BP] = Tasks[I];
-    Results[I].ReferenceUs =
-        fastestUs(*BP, TK, Reference, Reps, Trace, "jumps-baseline");
-    Results[I].DefaultUs =
-        fastestUs(*BP, TK, {}, Reps, Trace, "jumps-optimized");
-  };
-
   auto SweepStart = std::chrono::steady_clock::now();
-  if (Jobs <= 1) {
-    for (size_t I = 0; I < Tasks.size(); ++I)
-      runTask(I);
-  } else {
-    ThreadPool Pool(Jobs);
-    std::atomic<unsigned> NextWorker{0};
-    Pool.parallelFor(Tasks.size(), [&](size_t I) {
-      if (Trace) {
-        thread_local const obs::TraceSink *NamedFor = nullptr;
-        if (NamedFor != Trace) {
-          NamedFor = Trace;
-          Trace->nameCurrentThread(
-              format("bench worker %u", NextWorker.fetch_add(1)));
-        }
-      }
-      runTask(I);
-    });
-  }
-  int64_t EndToEndUs = std::chrono::duration_cast<std::chrono::microseconds>(
-                           std::chrono::steady_clock::now() - SweepStart)
-                           .count();
-
-  // Deterministic reduce, in task order.
   int64_t ReferenceTotalUs = 0, DefaultTotalUs = 0;
   bool AllMonotone = true;
   std::string ProgramsJson;
-  for (size_t I = 0; I < Tasks.size(); ++I) {
-    const auto &[TK, BP] = Tasks[I];
-    const TaskResult &R = Results[I];
-    ReferenceTotalUs += R.ReferenceUs;
-    DefaultTotalUs += R.DefaultUs;
+  for (const auto &[TK, BP] : Tasks) {
+    const int64_t ReferenceUs =
+        fastestUs(*BP, TK, Reference, Reps, Trace, "jumps-baseline");
+    const int64_t DefaultUs =
+        fastestUs(*BP, TK, {}, Reps, Trace, "jumps-optimized");
+    ReferenceTotalUs += ReferenceUs;
+    DefaultTotalUs += DefaultUs;
     AllMonotone &= checkNoRegression(BP->Name.c_str(), target::targetName(TK),
-                                     R.ReferenceUs, R.DefaultUs);
+                                     ReferenceUs, DefaultUs);
 
     if (!ProgramsJson.empty())
       ProgramsJson += ",\n";
@@ -220,18 +175,22 @@ int main(int argc, char **argv) {
         "    {\"program\": \"%s\", \"target\": \"%s\", "
         "\"jumps_baseline_us\": %lld, \"jumps_optimized_us\": %lld}",
         BP->Name.c_str(), target::targetName(TK),
-        static_cast<long long>(R.ReferenceUs),
-        static_cast<long long>(R.DefaultUs));
+        static_cast<long long>(ReferenceUs),
+        static_cast<long long>(DefaultUs));
 
     std::printf("%-10s %-5s jumps: baseline %8lld us, optimized %8lld us "
                 "(%.2fx)\n",
                 BP->Name.c_str(), target::targetName(TK),
-                static_cast<long long>(R.ReferenceUs),
-                static_cast<long long>(R.DefaultUs),
-                R.DefaultUs > 0
-                    ? static_cast<double>(R.ReferenceUs) / R.DefaultUs
+                static_cast<long long>(ReferenceUs),
+                static_cast<long long>(DefaultUs),
+                DefaultUs > 0
+                    ? static_cast<double>(ReferenceUs) / DefaultUs
                     : 0.0);
   }
+  const int64_t EndToEndUs =
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - SweepStart)
+          .count();
   double Speedup = DefaultTotalUs > 0
                        ? static_cast<double>(ReferenceTotalUs) /
                              static_cast<double>(DefaultTotalUs)
@@ -320,7 +279,7 @@ int main(int argc, char **argv) {
   }
   std::fprintf(F,
                "{\n  \"suite\": \"Table 3 programs, both targets\",\n"
-               "  \"repetitions\": %d,\n  \"jobs\": %u,\n"
+               "  \"repetitions\": %d,\n  \"jobs\": 1,\n"
                "  \"baseline\": \"reference pipeline: rerun-everything "
                "fixpoint loop, unfused register passes, every analysis "
                "(shortest paths included) recomputed per query\",\n"
@@ -328,7 +287,7 @@ int main(int argc, char **argv) {
                "scheduling, fused local sweep, epoch-stamped analysis "
                "manager with a cross-round shortest-path cache\",\n"
                "  %s,\n  \"programs\": [\n%s\n  ]\n}\n",
-               Reps, Jobs, Totals.c_str(), ProgramsJson.c_str());
+               Reps, Totals.c_str(), ProgramsJson.c_str());
   std::fclose(F);
 
   // One history line per run: the trail bench_report gates.
@@ -337,9 +296,9 @@ int main(int argc, char **argv) {
   const char *HistoryPath = "BENCH_history.jsonl";
   if (std::FILE *H = std::fopen(HistoryPath, "a")) {
     std::fprintf(H,
-                 "{\"date\": \"%s\", \"git_sha\": \"%s\", \"jobs\": %u, "
+                 "{\"date\": \"%s\", \"git_sha\": \"%s\", \"jobs\": 1, "
                  "\"repetitions\": %d, %s}\n",
-                 isoUtcNow().c_str(), gitSha().c_str(), Jobs, Reps,
+                 isoUtcNow().c_str(), gitSha().c_str(), Reps,
                  Totals.c_str());
     std::fclose(H);
     std::printf("appended run record to %s\n", HistoryPath);
@@ -348,10 +307,10 @@ int main(int argc, char **argv) {
   }
 
   std::printf("\ntotal JUMPS compile: baseline %lld us, optimized %lld us, "
-              "speedup %.2fx (end-to-end %lld us with %u jobs)\n",
+              "speedup %.2fx (end-to-end %lld us)\n",
               static_cast<long long>(ReferenceTotalUs),
               static_cast<long long>(DefaultTotalUs), Speedup,
-              static_cast<long long>(EndToEndUs), Jobs);
+              static_cast<long long>(EndToEndUs));
   std::printf("wrote %s\n", OutPath.c_str());
   if (!AllMonotone) {
     std::fprintf(stderr, "error: per-program regression check failed\n");

@@ -9,6 +9,7 @@
 #include "support/Rng.h"
 
 #include <climits>
+#include <cstdlib>
 #include <cstring>
 
 using namespace coderep;
@@ -18,64 +19,292 @@ using namespace coderep::rtl;
 
 FetchSink::~FetchSink() = default;
 
-CodeLayout ease::layoutCode(const Program &P, uint32_t Base) {
-  CodeLayout L;
-  uint32_t Addr = Base;
-  for (const auto &F : P.Functions) {
-    std::vector<uint32_t> Blocks;
-    Blocks.reserve(F->size());
-    for (int B = 0; B < F->size(); ++B) {
-      Blocks.push_back(Addr);
-      Addr += 4 * static_cast<uint32_t>(F->block(B)->rtlCount());
-    }
-    L.BlockAddr.push_back(std::move(Blocks));
-  }
-  L.CodeBytes = Addr - Base;
-  return L;
-}
-
 namespace {
 
 /// First data address handed to globals; lower addresses trap so that null
 /// dereferences are caught.
 constexpr uint32_t GlobalBase = 0x100;
 
-class Machine {
-public:
-  Machine(const Program &P, const RunOptions &Options)
-      : P(P), Options(Options), Layout(layoutCode(P)) {
-    Mem.assign(Options.MemBytes, 0);
+/// Physical register slots at the bottom of every frame.
+constexpr uint32_t PhysSlots = 64;
+
+/// Deepest call nesting before a run traps.
+constexpr size_t MaxCallDepth = 100000;
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// Image: lowering
+//===----------------------------------------------------------------------===//
+
+Image::Image(const Program &P, uint32_t CodeBase) {
+  layoutData(P.Globals);
+  Main = P.findFunction("main");
+  uint32_t Addr = CodeBase;
+  for (const auto &F : P.Functions)
+    lowerFunction(*F, Addr);
+  CodeBytes = Addr - CodeBase;
+}
+
+Image::Image(const Function &F, const std::vector<Global> &Globals) {
+  layoutData(Globals);
+  Main = F.Name == "main" ? 0 : -1;
+  uint32_t Addr = 0;
+  lowerFunction(F, Addr);
+  CodeBytes = Addr;
+}
+
+void Image::layoutData(const std::vector<Global> &Globals) {
+  // Addresses first, so relocations can reference globals laid out later.
+  uint32_t Addr = GlobalBase;
+  for (const Global &G : Globals) {
+    Addr = (Addr + 3u) & ~3u;
+    GlobalAddr.push_back(Addr);
+    Addr += static_cast<uint32_t>(G.Size);
   }
+  DataEnd = Addr;
+  for (size_t GI = 0; GI < Globals.size(); ++GI) {
+    const Global &G = Globals[GI];
+    const uint32_t Base = GlobalAddr[GI];
+    if (!G.Init.empty()) {
+      Init.push_back({InitStep::Bytes, Base,
+                      static_cast<uint32_t>(InitBytes.size()),
+                      static_cast<uint32_t>(G.Init.size())});
+      InitBytes.insert(InitBytes.end(), G.Init.begin(), G.Init.end());
+    }
+    for (auto [Off, Sym] : G.Relocs) {
+      if (Sym < 0 || Sym >= static_cast<int>(GlobalAddr.size())) {
+        Init.push_back({InitStep::BadReloc, 0, 0, 0});
+        return; // initialization stops at the bad relocation
+      }
+      Init.push_back({InitStep::Reloc, Base + static_cast<uint32_t>(Off),
+                      GlobalAddr[static_cast<size_t>(Sym)], 0});
+    }
+  }
+}
 
-  RunResult run();
+/// CondJump's outcome for each sign of CC: bit 0 when negative, bit 1 when
+/// zero, bit 2 when positive.
+static uint8_t takenMask(CondCode C) {
+  switch (C) {
+  case CondCode::Eq:
+    return 0b010;
+  case CondCode::Ne:
+    return 0b101;
+  case CondCode::Lt:
+    return 0b001;
+  case CondCode::Le:
+    return 0b011;
+  case CondCode::Gt:
+    return 0b100;
+  case CondCode::Ge:
+    return 0b110;
+  }
+  return 0;
+}
 
-private:
-  const Program &P;
-  const RunOptions &Options;
-  CodeLayout Layout;
-
-  std::vector<uint8_t> Mem;
-  std::vector<uint32_t> GlobalAddr;
-
-  // Current position.
-  int Func = -1;
-  int Block = 0;
-  int InsnIdx = 0;
-  std::vector<int64_t> Regs;
-
-  struct Frame {
-    int Func;
-    int Block;
-    int InsnIdx;
-    std::vector<int64_t> Regs;
+void Image::lowerFunction(const Function &F, uint32_t &Addr) {
+  // Real ops share rtl::Opcode's numbering, so lowering casts between them.
+  static_assert(
+      static_cast<int>(Code::Move) == static_cast<int>(Opcode::Move) &&
+      static_cast<int>(Code::Nop) == static_cast<int>(Opcode::Nop));
+  const uint32_t FrameSlots =
+      PhysSlots + static_cast<uint32_t>(F.vregLimit() - FirstVirtual);
+  auto slotOf = [&](int R) -> uint32_t {
+    if (R < FirstVirtual)
+      return R >= 0 && R < static_cast<int>(PhysSlots)
+                 ? static_cast<uint32_t>(R)
+                 : BadPhysReg;
+    const uint64_t S = PhysSlots + static_cast<uint64_t>(R - FirstVirtual);
+    return S < FrameSlots ? static_cast<uint32_t>(S) : BadVirtReg;
   };
-  std::vector<Frame> CallStack;
+  // Address components, whatever the operand's kind (Lea computes the
+  // address of any operand; a register operand's address is its value).
+  auto address = [&](const Operand &O) {
+    Loc L;
+    L.Kind = O.Kind;
+    L.Size = O.Size == 1 ? 1 : 4;
+    L.Disp = O.Disp;
+    if (O.Sym >= 0) {
+      if (O.Sym < static_cast<int>(GlobalAddr.size()))
+        L.Disp += GlobalAddr[static_cast<size_t>(O.Sym)];
+      else
+        L.BadSym = true;
+    }
+    if (O.Base >= 0)
+      L.Base = slotOf(O.Base);
+    if (O.Index >= 0)
+      L.Index = slotOf(O.Index);
+    L.Scale = O.Scale;
+    return L;
+  };
+  // Value operands: an immediate is its value alone, and a register
+  // operand always names a slot (register -1 included, which fails like
+  // any other bad physical register).
+  auto value = [&](const Operand &O) {
+    if (O.Kind == OperandKind::Imm) {
+      Loc L;
+      L.Kind = OperandKind::Imm;
+      L.Disp = O.Disp;
+      return L;
+    }
+    Loc L = address(O);
+    if (O.Kind == OperandKind::Reg)
+      L.Base = slotOf(O.Base);
+    return L;
+  };
+  // Decodes an RTL given as an Insn (delay slots) or an arena view.
+  auto lower = [&](const auto &I, uint32_t At, bool InSlot) {
+    Op O;
+    O.Addr = At;
+    switch (I.Op) {
+    case Opcode::Move:
+    case Opcode::Neg:
+    case Opcode::Not:
+      O.C = static_cast<Code>(I.Op);
+      O.Dst = value(I.Dst);
+      O.Src1 = value(I.Src1);
+      break;
+    case Opcode::Lea:
+      O.C = Code::Lea;
+      O.Dst = value(I.Dst);
+      O.Src1 = address(I.Src1);
+      break;
+    case Opcode::Compare:
+      O.C = InSlot ? Code::SlotCompare : Code::Compare;
+      O.Src1 = value(I.Src1);
+      O.Src2 = value(I.Src2);
+      break;
+    case Opcode::Add:
+    case Opcode::Sub:
+    case Opcode::Mul:
+    case Opcode::Div:
+    case Opcode::Rem:
+    case Opcode::And:
+    case Opcode::Or:
+    case Opcode::Xor:
+    case Opcode::Shl:
+    case Opcode::Shr:
+      O.C = static_cast<Code>(I.Op);
+      O.Dst = value(I.Dst);
+      O.Src1 = value(I.Src1);
+      O.Src2 = value(I.Src2);
+      break;
+    case Opcode::Nop:
+      O.C = Code::Nop;
+      break;
+    case Opcode::CondJump:
+    case Opcode::Jump:
+    case Opcode::SwitchJump:
+    case Opcode::Return:
+    case Opcode::Call:
+      if (InSlot) {
+        O.C = Code::SlotTransfer;
+        break;
+      }
+      O.C = I.Op == Opcode::Call && I.Callee < 0 ? Code::Intrinsic
+                                                 : static_cast<Code>(I.Op);
+      O.Callee = I.Callee;
+      if (I.Op == Opcode::SwitchJump)
+        O.Src1 = value(I.Src1);
+      break;
+    }
+    return O;
+  };
+
+  // Op indices of each block's first op; BlockStart[size()] is the
+  // fell-off step.
+  const int NB = F.size();
+  std::vector<int32_t> BlockStart(static_cast<size_t>(NB) + 1);
+  int32_t Next = static_cast<int32_t>(Ops.size());
+  for (int B = 0; B < NB; ++B) {
+    BlockStart[static_cast<size_t>(B)] = Next;
+    Next += static_cast<int32_t>(F.block(B)->Insns.size()) + 1;
+  }
+  BlockStart[static_cast<size_t>(NB)] = Next;
+  auto targetOf = [&](int Label) {
+    const int Idx = F.indexOfLabel(Label);
+    return Idx < 0 ? -1 : BlockStart[static_cast<size_t>(Idx)];
+  };
+
+  Fns.push_back({BlockStart[0], FrameSlots});
+  for (int B = 0; B < NB; ++B) {
+    const BasicBlock &BB = *F.block(B);
+    const uint32_t N = static_cast<uint32_t>(BB.Insns.size());
+    int32_t Slot = -1;
+    if (BB.DelaySlot) {
+      Slot = static_cast<int32_t>(Slots.size());
+      Slots.push_back(lower(*BB.DelaySlot, Addr + 4 * N, true));
+    }
+    for (uint32_t K = 0; K < N; ++K) {
+      const ConstInsnView I = BB.Insns[K];
+      Op O = lower(I, Addr + 4 * K, false);
+      switch (O.C) {
+      case Code::CondJump:
+        O.Next = BlockStart[static_cast<size_t>(B) + 1];
+        O.Taken = takenMask(I.Cond);
+        [[fallthrough]];
+      case Code::Jump:
+        O.Target = targetOf(I.Target);
+        O.Slot = Slot;
+        break;
+      case Code::SwitchJump:
+        O.TableOff = static_cast<uint32_t>(Tables.size());
+        O.TableLen = static_cast<uint32_t>(I.Table.size());
+        for (int Label : I.Table)
+          Tables.push_back(targetOf(Label));
+        O.Slot = Slot;
+        break;
+      case Code::Return:
+        O.Slot = Slot;
+        break;
+      default:
+        break;
+      }
+      Ops.push_back(O);
+    }
+    Op FT;
+    FT.C = Code::FallThrough;
+    Ops.push_back(FT);
+    Addr += 4 * static_cast<uint32_t>(BB.rtlCount());
+  }
+  Op Off;
+  Off.C = Code::FellOff;
+  Ops.push_back(Off);
+}
+
+//===----------------------------------------------------------------------===//
+// Machine: execution
+//===----------------------------------------------------------------------===//
+
+void Machine::FreeMem::operator()(uint8_t *P) const { std::free(P); }
+
+/// One run: the interpreted machine's registers, control state and result.
+struct Machine::State {
+  Machine &M;
+  const Image &Img;
+  const RunOptions &Options;
+  uint8_t *Mem;
+  const uint32_t Mid; ///< data writes below, stack writes at or above
 
   RunResult Result;
   bool Halted = false;
   size_t InputPos = 0;
-  uint64_t Steps = 0;
-  uint32_t GlobalsEnd = GlobalBase; ///< one past the last global byte
+
+  int Func = 0;
+  size_t RegBase = 0;
+  int64_t *Regs = nullptr;
+
+  struct Frame {
+    int Func;
+    int32_t ReturnOp;
+    size_t RegBase;
+  };
+  std::vector<Frame> Frames;
+
+  State(Machine &M, const Image &Img, const RunOptions &Options)
+      : M(M), Img(Img), Options(Options), Mem(M.Mem.get()),
+        Mid(M.MemSize / 2) {}
 
   void exec();
 
@@ -89,44 +318,52 @@ private:
     Halted = true;
   }
 
-  const Function &fn() const { return *P.Functions[Func]; }
-
-  size_t regSlot(int R) {
-    if (R < FirstVirtual) {
-      CODEREP_CHECK(R >= 0 && R < 64, "physical register out of range");
-      return static_cast<size_t>(R);
-    }
-    return 64 + static_cast<size_t>(R - FirstVirtual);
+  /// Makes a zeroed frame for function \p F at \p Base the current one.
+  void enterFrame(int F, size_t Base) {
+    const uint32_t N = Img.Fns[static_cast<size_t>(F)].FrameSlots;
+    if (M.RegStack.size() < Base + N)
+      M.RegStack.resize(std::max(Base + N, 2 * M.RegStack.size()));
+    Func = F;
+    RegBase = Base;
+    Regs = M.RegStack.data() + Base;
+    std::fill_n(Regs, N, 0);
   }
 
-  std::vector<int64_t> freshRegs(const Function &F) {
-    return std::vector<int64_t>(64 + (F.vregLimit() - FirstVirtual), 0);
+  void badSlot(uint32_t S) {
+    CODEREP_CHECK(S == Image::BadVirtReg, "physical register out of range");
+    trap(Trap::BadProgram, "register out of range");
   }
 
-  int64_t getReg(int R) {
-    size_t S = regSlot(R);
-    if (S >= Regs.size()) {
-      trap(Trap::BadProgram, "register out of range");
+  int64_t getReg(uint32_t S) {
+    if (S >= Image::BadVirtReg) {
+      badSlot(S);
       return 0;
     }
     return Regs[S];
   }
 
-  void setReg(int R, int64_t V) {
-    size_t S = regSlot(R);
-    if (S >= Regs.size()) {
-      trap(Trap::BadProgram, "register out of range");
+  void setReg(uint32_t S, int64_t V) {
+    if (S >= Image::BadVirtReg) {
+      badSlot(S);
       return;
     }
     Regs[S] = V;
   }
 
   bool checkAddr(uint32_t Addr, uint32_t Size) {
-    if (Addr < GlobalBase || Addr + Size > Mem.size() || Addr + Size < Addr) {
+    if (Addr < GlobalBase || Addr + Size > M.MemSize || Addr + Size < Addr) {
       trap(Trap::OutOfBounds, format("memory access at 0x%x", Addr));
       return false;
     }
     return true;
+  }
+
+  /// Widens the reset watermark covering [Lo, Hi).
+  void touch(uint32_t Lo, uint32_t Hi) {
+    if (Lo < Mid)
+      M.DataHi = std::max(M.DataHi, Hi);
+    else
+      M.StackLo = std::min(M.StackLo, Lo);
   }
 
   int64_t load(uint32_t Addr, uint8_t Size) {
@@ -142,6 +379,7 @@ private:
   void store(uint32_t Addr, uint8_t Size, int64_t Value) {
     if (!checkAddr(Addr, Size))
       return;
+    touch(Addr, Addr + Size);
     if (Size == 1) {
       Mem[Addr] = static_cast<uint8_t>(Value);
       return;
@@ -150,58 +388,51 @@ private:
     std::memcpy(&Mem[Addr], &V, 4);
   }
 
-  uint32_t memAddr(const Operand &O) {
-    int64_t Addr = O.Disp;
-    if (O.Sym >= 0) {
-      if (O.Sym >= static_cast<int>(GlobalAddr.size())) {
-        trap(Trap::BadProgram, "bad global symbol");
-        return 0;
-      }
-      Addr += GlobalAddr[O.Sym];
+  uint32_t memAddr(const Image::Loc &L) {
+    if (L.BadSym) {
+      trap(Trap::BadProgram, "bad global symbol");
+      return 0;
     }
-    if (O.Base >= 0)
-      Addr += getReg(O.Base);
-    if (O.Index >= 0)
-      Addr += getReg(O.Index) * O.Scale;
+    int64_t Addr = L.Disp;
+    if (L.Base != Image::NoReg)
+      Addr += getReg(L.Base);
+    if (L.Index != Image::NoReg)
+      Addr += getReg(L.Index) * L.Scale;
     return static_cast<uint32_t>(Addr);
   }
 
-  int64_t eval(const Operand &O) {
-    switch (O.Kind) {
-    case OperandKind::Reg:
-      return getReg(O.Base);
-    case OperandKind::Imm:
-      return O.Disp;
-    case OperandKind::Mem:
-      return load(memAddr(O), O.Size);
-    case OperandKind::None:
-      trap(Trap::BadProgram, "use of missing operand");
-      return 0;
-    }
+  int64_t eval(const Image::Loc &L) {
+    // Most frequent first: tested in turn, not through a jump table.
+    if (L.Kind == OperandKind::Reg)
+      return getReg(L.Base);
+    if (L.Kind == OperandKind::Imm)
+      return L.Disp;
+    if (L.Kind == OperandKind::Mem)
+      return load(memAddr(L), L.Size);
+    trap(Trap::BadProgram, "use of missing operand");
     return 0;
   }
 
-  void writeResult(const Operand &Dst, int64_t Value) {
+  void writeResult(const Image::Loc &Dst, int64_t Value) {
     Value = static_cast<int32_t>(Value); // 32-bit machine words
-    if (Dst.isReg()) {
+    if (Dst.Kind == OperandKind::Reg) {
       setReg(Dst.Base, Value);
       return;
     }
-    if (Dst.isMem()) {
+    if (Dst.Kind == OperandKind::Mem) {
       store(memAddr(Dst), Dst.Size, Value);
       return;
     }
     trap(Trap::BadProgram, "bad destination operand");
   }
 
-  void jumpToLabel(int Label) {
-    int Idx = fn().indexOfLabel(Label);
-    if (Idx < 0) {
+  /// The op a taken transfer continues at (unchanged \p Pc after a trap).
+  int32_t jumpTo(int32_t Target, int32_t Pc) {
+    if (Target < 0) {
       trap(Trap::BadProgram, "jump to unknown label");
-      return;
+      return Pc;
     }
-    Block = Idx;
-    InsnIdx = 0;
+    return Target;
   }
 
   //===--- intrinsics ----------------------------------------------------===//
@@ -219,21 +450,27 @@ private:
       if (!C)
         return S;
       S.push_back(C);
-      if (S.size() > Mem.size())
+      if (S.size() > M.MemSize)
         return S; // cyclic garbage guard
     }
   }
 
   void doPrintf();
   void doIntrinsic(int Callee);
+  void stubCall(int Callee);
 
   //===--- execution -----------------------------------------------------===//
 
-  void execute(const Insn &I);
-  void executeDelaySlot(const BasicBlock &B);
+  [[gnu::always_inline]] inline void execute(const Image::Op &O);
+  void runDelaySlot(const Image::Op &T);
+  void executeDelaySlot(const Image::Op &T) {
+    if (T.Slot >= 0)
+      runDelaySlot(T);
+  }
+  bool setUp();
 };
 
-void Machine::doPrintf() {
+void Machine::State::doPrintf() {
   std::string Fmt = readCString(static_cast<uint32_t>(intrinsicArg(0)));
   int ArgIdx = 1;
   std::string &Out = Result.Output;
@@ -289,7 +526,7 @@ void Machine::doPrintf() {
   }
 }
 
-void Machine::doIntrinsic(int Callee) {
+void Machine::State::doIntrinsic(int Callee) {
   switch (Callee) {
   case IntrinsicGetchar:
     if (InputPos < Options.Input.size())
@@ -353,81 +590,104 @@ void Machine::doIntrinsic(int Callee) {
   }
 }
 
-void Machine::executeDelaySlot(const BasicBlock &B) {
-  if (!B.DelaySlot)
-    return;
+void Machine::State::stubCall(int Callee) {
+  // Uninterpreted call: record the observable (callee + argument words)
+  // and synthesize a return value that depends only on (StubSeed, event
+  // index, callee), so the event stream and every downstream value are
+  // identical across differential runs.
+  ++Result.Stats.Calls;
+  RunResult::CallEvent Ev;
+  Ev.Callee = Callee;
+  const uint32_t SP = static_cast<uint32_t>(getReg(RegSP));
+  uint32_t NArgs = 4;
+  if (Options.StubArity &&
+      Callee < static_cast<int>(Options.StubArity->size()))
+    NArgs = std::min<uint32_t>(
+        4, static_cast<uint32_t>((*Options.StubArity)[Callee]));
+  for (uint32_t A = 0; A < NArgs; ++A) {
+    const uint32_t At = SP + 4 * A;
+    if (At >= GlobalBase && At + 4 <= M.MemSize) {
+      uint32_t V;
+      std::memcpy(&V, &Mem[At], 4);
+      Ev.Args[A] = static_cast<int32_t>(V);
+    }
+  }
+  Rng G(Options.StubSeed ^
+        0x9e3779b97f4a7c15ULL * (Result.CallEvents.size() + 1) ^
+        0x517cc1b727220a95ULL * static_cast<uint64_t>(Callee));
+  Ev.Rv = static_cast<int32_t>(G.next());
+  setReg(RegRV, Ev.Rv);
+  Result.CallEvents.push_back(Ev);
+}
+
+void Machine::State::runDelaySlot(const Image::Op &T) {
+  const Image::Op &S = Img.Slots[static_cast<size_t>(T.Slot)];
   if (Options.Sink)
-    Options.Sink->fetch(
-        Layout.insnAddr(Func, Block, static_cast<int>(B.Insns.size())));
+    Options.Sink->fetch(S.Addr);
   ++Result.Stats.Executed;
-  if (B.DelaySlot->Op == Opcode::Nop)
-    ++Result.Stats.Nops;
   // Delay-slot RTLs are plain data operations (verified not transfers).
-  const Insn &I = *B.DelaySlot;
-  switch (I.Op) {
-  case Opcode::Nop:
-    break;
-  case Opcode::Move:
-    writeResult(I.Dst, eval(I.Src1));
-    break;
-  case Opcode::Lea:
-    writeResult(I.Dst, memAddr(I.Src1));
-    break;
-  case Opcode::Compare:
+  switch (S.C) {
+  case Image::Code::SlotCompare:
     trap(Trap::BadProgram, "compare in delay slot would clobber CC");
     break;
+  case Image::Code::SlotTransfer:
+    CODEREP_UNREACHABLE("transfers handled by the main loop");
   default:
-    execute(I); // binary/unary ALU ops
+    execute(S);
     break;
   }
 }
 
-void Machine::execute(const Insn &I) {
-  switch (I.Op) {
-  case Opcode::Nop:
+inline void Machine::State::execute(const Image::Op &O) {
+  using C = Image::Code;
+  switch (O.C) {
+  case C::Nop:
     ++Result.Stats.Nops;
     break;
-  case Opcode::Move:
-    writeResult(I.Dst, eval(I.Src1));
+  case C::Move:
+    writeResult(O.Dst, eval(O.Src1));
     break;
-  case Opcode::Lea:
-    writeResult(I.Dst, memAddr(I.Src1));
+  case C::Lea:
+    writeResult(O.Dst, memAddr(O.Src1));
     break;
-  case Opcode::Neg:
-    writeResult(I.Dst, -eval(I.Src1));
+  case C::Neg:
+    writeResult(O.Dst, -eval(O.Src1));
     break;
-  case Opcode::Not:
-    writeResult(I.Dst, ~eval(I.Src1));
+  case C::Not:
+    writeResult(O.Dst, ~eval(O.Src1));
     break;
-  case Opcode::Compare:
-    setReg(RegCC, static_cast<int32_t>(eval(I.Src1)) -
-                      static_cast<int64_t>(static_cast<int32_t>(eval(I.Src2))));
+  case C::Compare: {
+    // Sequenced: when both operands trap, Src1's trap is the one reported.
+    const int64_t A = static_cast<int32_t>(eval(O.Src1));
+    const int64_t B = static_cast<int32_t>(eval(O.Src2));
+    setReg(RegCC, A - B);
     break;
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::Div:
-  case Opcode::Rem:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::Shr: {
-    int64_t A = static_cast<int32_t>(eval(I.Src1));
-    int64_t B = static_cast<int32_t>(eval(I.Src2));
+  }
+  case C::Add:
+  case C::Sub:
+  case C::Mul:
+  case C::Div:
+  case C::Rem:
+  case C::And:
+  case C::Or:
+  case C::Xor:
+  case C::Shl:
+  case C::Shr: {
+    int64_t A = static_cast<int32_t>(eval(O.Src1));
+    int64_t B = static_cast<int32_t>(eval(O.Src2));
     int64_t R = 0;
-    switch (I.Op) {
-    case Opcode::Add:
+    switch (O.C) {
+    case C::Add:
       R = A + B;
       break;
-    case Opcode::Sub:
+    case C::Sub:
       R = A - B;
       break;
-    case Opcode::Mul:
+    case C::Mul:
       R = A * B;
       break;
-    case Opcode::Div:
-    case Opcode::Rem:
+    case C::Div:
+    case C::Rem:
       if (B == 0) {
         trap(Trap::DivByZero, "division by zero");
         return;
@@ -439,90 +699,74 @@ void Machine::execute(const Insn &I) {
         trap(Trap::Overflow, "signed division overflow");
         return;
       }
-      R = I.Op == Opcode::Div ? A / B : A % B;
+      R = O.C == C::Div ? A / B : A % B;
       break;
-    case Opcode::And:
+    case C::And:
       R = A & B;
       break;
-    case Opcode::Or:
+    case C::Or:
       R = A | B;
       break;
-    case Opcode::Xor:
+    case C::Xor:
       R = A ^ B;
       break;
-    case Opcode::Shl:
+    case C::Shl:
       R = static_cast<int64_t>(static_cast<uint32_t>(A)
                                << (static_cast<uint32_t>(B) & 31));
       break;
-    case Opcode::Shr:
+    case C::Shr:
       R = static_cast<int32_t>(A) >> (static_cast<uint32_t>(B) & 31);
       break;
     default:
       CODEREP_UNREACHABLE("not an ALU op");
     }
-    writeResult(I.Dst, R);
+    writeResult(O.Dst, R);
     break;
   }
-  case Opcode::CondJump:
-  case Opcode::Jump:
-  case Opcode::SwitchJump:
-  case Opcode::Call:
-  case Opcode::Return:
+  default:
     CODEREP_UNREACHABLE("transfers handled by the main loop");
   }
 }
 
-RunResult Machine::run() {
-  exec();
-  if (Options.CaptureGlobals && GlobalsEnd > GlobalBase &&
-      GlobalsEnd <= Mem.size())
-    Result.GlobalsMem.assign(Mem.begin() + GlobalBase,
-                             Mem.begin() + GlobalsEnd);
-  return Result;
-}
-
-void Machine::exec() {
-  // Lay out globals, then initialize them (two passes so relocations can
-  // reference globals laid out later).
-  uint32_t Addr = GlobalBase;
-  for (const Global &G : P.Globals) {
-    Addr = (Addr + 3u) & ~3u;
-    GlobalAddr.push_back(Addr);
-    Addr += static_cast<uint32_t>(G.Size);
-  }
-  GlobalsEnd = Addr;
-  if (Addr >= Options.MemBytes / 2) {
+/// Lays the data segment out and enters the first function. Returns false
+/// when the run ended before its first step.
+bool Machine::State::setUp() {
+  if (Img.DataEnd >= Options.MemBytes / 2) {
     trap(Trap::OutOfBounds, "globals exceed data memory");
-    return;
+    return false;
   }
   // The fuzzing memory image first, so declared initializers and
   // relocations below overwrite it: uninitialized globals start at
   // deterministic garbage instead of zero.
-  if (Options.MemImage)
-    for (size_t I = 0;
-         I < Options.MemImage->size() && GlobalBase + I < Mem.size(); ++I)
-      Mem[GlobalBase + I] = (*Options.MemImage)[I];
-  for (size_t GI = 0; GI < P.Globals.size(); ++GI) {
-    const Global &G = P.Globals[GI];
-    uint32_t Base = GlobalAddr[GI];
-    for (size_t I = 0; I < G.Init.size(); ++I)
-      Mem[Base + I] = G.Init[I];
-    for (auto [Off, Sym] : G.Relocs) {
-      if (Sym < 0 || Sym >= static_cast<int>(GlobalAddr.size())) {
-        trap(Trap::BadProgram, "relocation against unknown global");
-        return;
-      }
-      store(Base + static_cast<uint32_t>(Off), 4, GlobalAddr[Sym]);
+  if (Options.MemImage && GlobalBase < M.MemSize) {
+    const uint32_t N = static_cast<uint32_t>(std::min<size_t>(
+        Options.MemImage->size(), M.MemSize - GlobalBase));
+    std::memcpy(Mem + GlobalBase, Options.MemImage->data(), N);
+    touch(GlobalBase, GlobalBase + N);
+  }
+  for (const Image::InitStep &S : Img.Init) {
+    switch (S.K) {
+    case Image::InitStep::Bytes: {
+      const uint32_t N = std::min(S.Len, M.MemSize - S.Addr);
+      std::memcpy(Mem + S.Addr, Img.InitBytes.data() + S.Value, N);
+      touch(S.Addr, S.Addr + N);
+      break;
+    }
+    case Image::InitStep::Reloc:
+      store(S.Addr, 4, S.Value);
+      break;
+    case Image::InitStep::BadReloc:
+      trap(Trap::BadProgram, "relocation against unknown global");
+      return false;
     }
   }
 
   if (Options.EntryFunction >= 0) {
-    if (Options.EntryFunction >= static_cast<int>(P.Functions.size())) {
+    if (Options.EntryFunction >= static_cast<int>(Img.Fns.size())) {
       trap(Trap::BadProgram, "entry function out of range");
-      return;
+      return false;
     }
-    Func = Options.EntryFunction;
-    Regs = freshRegs(fn());
+    enterFrame(Options.EntryFunction, 0);
     // Leave headroom above SP for the argument words (the callee reads its
     // parameters at [SP + 4*i], exactly where a real caller stores them).
     const int64_t SP = static_cast<int64_t>(Options.MemBytes) - 64;
@@ -531,170 +775,151 @@ void Machine::exec() {
       store(static_cast<uint32_t>(SP) + 4 * static_cast<uint32_t>(I), 4,
             Options.EntryArgs[I]);
   } else {
-    Func = P.findFunction("main");
-    if (Func < 0) {
+    if (Img.Main < 0) {
       trap(Trap::BadProgram, "no main function");
-      return;
+      return false;
     }
-    Regs = freshRegs(fn());
+    enterFrame(Img.Main, 0);
     setReg(RegSP, static_cast<int64_t>(Options.MemBytes) - 16);
   }
+  return true;
+}
 
+void Machine::State::exec() {
+  if (!setUp())
+    return;
+  using C = Image::Code;
+  const Image::Op *Ops = Img.Ops.data();
+  FetchSink *const Sink = Options.Sink;
+  const uint64_t MaxSteps = Options.MaxSteps;
+  uint64_t Steps = 0;
+  int32_t Pc = Img.Fns[static_cast<size_t>(Func)].Entry;
   while (!Halted) {
-    if (++Steps > Options.MaxSteps) {
+    if (++Steps > MaxSteps) {
       trap(Trap::StepLimit, "step limit exceeded");
       break;
     }
-    if (Block >= fn().size()) {
+    const Image::Op &O = Ops[Pc];
+    if (O.C >= C::FallThrough) {
+      if (O.C == C::FallThrough) {
+        ++Pc; // the next block's first op follows
+        continue;
+      }
       trap(Trap::BadProgram, "control fell off the end of a function");
       break;
     }
-    const BasicBlock &B = *fn().block(Block);
-    if (InsnIdx >= static_cast<int>(B.Insns.size())) {
-      // Fall through to the positionally next block.
-      ++Block;
-      InsnIdx = 0;
-      continue;
-    }
-    auto I = B.Insns[InsnIdx];
-    if (Options.Sink)
-      Options.Sink->fetch(Layout.insnAddr(Func, Block, InsnIdx));
+    if (Sink)
+      Sink->fetch(O.Addr);
     ++Result.Stats.Executed;
 
-    switch (I.Op) {
-    case Opcode::Jump:
+    switch (O.C) {
+    case C::Jump:
       ++Result.Stats.UncondJumps;
-      executeDelaySlot(B);
-      jumpToLabel(I.Target);
+      executeDelaySlot(O);
+      Pc = jumpTo(O.Target, Pc);
       break;
-    case Opcode::CondJump: {
+    case C::CondJump: {
       ++Result.Stats.CondBranches;
-      int64_t CC = getReg(RegCC);
-      bool Taken = false;
-      switch (I.Cond) {
-      case CondCode::Eq:
-        Taken = CC == 0;
-        break;
-      case CondCode::Ne:
-        Taken = CC != 0;
-        break;
-      case CondCode::Lt:
-        Taken = CC < 0;
-        break;
-      case CondCode::Le:
-        Taken = CC <= 0;
-        break;
-      case CondCode::Gt:
-        Taken = CC > 0;
-        break;
-      case CondCode::Ge:
-        Taken = CC >= 0;
-        break;
-      }
-      executeDelaySlot(B);
+      const int64_t CC = getReg(RegCC);
+      const bool Taken = (O.Taken >> ((CC > 0) - (CC < 0) + 1)) & 1;
+      executeDelaySlot(O);
       if (Taken) {
         ++Result.Stats.CondTaken;
-        jumpToLabel(I.Target);
+        Pc = jumpTo(O.Target, Pc);
       } else {
-        ++Block;
-        InsnIdx = 0;
+        Pc = O.Next;
       }
       break;
     }
-    case Opcode::SwitchJump: {
+    case C::SwitchJump: {
       ++Result.Stats.IndirectJumps;
-      int64_t Index = eval(I.Src1);
-      executeDelaySlot(B);
-      if (Index < 0 || Index >= static_cast<int64_t>(I.Table.size())) {
+      int64_t Index = eval(O.Src1);
+      executeDelaySlot(O);
+      if (Index < 0 || Index >= static_cast<int64_t>(O.TableLen)) {
         trap(Trap::BadProgram, "switch index out of table range");
         break;
       }
-      jumpToLabel(I.Table[static_cast<size_t>(Index)]);
+      Pc = jumpTo(Img.Tables[O.TableOff + static_cast<size_t>(Index)], Pc);
       break;
     }
-    case Opcode::Call:
-      if (I.Callee < 0) {
-        doIntrinsic(I.Callee);
-        ++InsnIdx;
-        break;
-      }
+    case C::Intrinsic:
+      doIntrinsic(O.Callee);
+      ++Pc;
+      break;
+    case C::Call: {
       if (Options.StubCalls) {
-        // Uninterpreted call: record the observable (callee + argument
-        // words) and synthesize a return value that depends only on
-        // (StubSeed, event index, callee), so the event stream and every
-        // downstream value are identical across differential runs.
-        ++Result.Stats.Calls;
-        RunResult::CallEvent Ev;
-        Ev.Callee = I.Callee;
-        const uint32_t SP = static_cast<uint32_t>(getReg(RegSP));
-        uint32_t NArgs = 4;
-        if (Options.StubArity && I.Callee >= 0 &&
-            I.Callee < static_cast<int>(Options.StubArity->size()))
-          NArgs = std::min<uint32_t>(
-              4, static_cast<uint32_t>((*Options.StubArity)[I.Callee]));
-        for (uint32_t A = 0; A < NArgs; ++A) {
-          const uint32_t At = SP + 4 * A;
-          if (At >= GlobalBase && At + 4 <= Mem.size()) {
-            uint32_t V;
-            std::memcpy(&V, &Mem[At], 4);
-            Ev.Args[A] = static_cast<int32_t>(V);
-          }
-        }
-        Rng G(Options.StubSeed ^
-              0x9e3779b97f4a7c15ULL * (Result.CallEvents.size() + 1) ^
-              0x517cc1b727220a95ULL * static_cast<uint64_t>(I.Callee));
-        Ev.Rv = static_cast<int32_t>(G.next());
-        setReg(RegRV, Ev.Rv);
-        Result.CallEvents.push_back(Ev);
-        ++InsnIdx;
+        stubCall(O.Callee);
+        ++Pc;
         break;
       }
-      if (I.Callee >= static_cast<int>(P.Functions.size())) {
+      if (O.Callee >= static_cast<int>(Img.Fns.size())) {
         trap(Trap::BadProgram, "call to unknown function");
         break;
       }
       ++Result.Stats.Calls;
-      {
-        int64_t SavedSP = getReg(RegSP);
-        CallStack.push_back({Func, Block, InsnIdx + 1, std::move(Regs)});
-        Func = I.Callee;
-        Block = 0;
-        InsnIdx = 0;
-        Regs = freshRegs(fn());
-        setReg(RegSP, SavedSP);
-        if (CallStack.size() > 100000)
-          trap(Trap::BadProgram, "call stack overflow");
-      }
+      const int64_t SavedSP = getReg(RegSP);
+      const size_t CalleeBase =
+          RegBase + Img.Fns[static_cast<size_t>(Func)].FrameSlots;
+      Frames.push_back({Func, Pc + 1, RegBase});
+      enterFrame(O.Callee, CalleeBase);
+      Pc = Img.Fns[static_cast<size_t>(Func)].Entry;
+      setReg(RegSP, SavedSP);
+      if (Frames.size() > MaxCallDepth)
+        trap(Trap::BadProgram, "call stack overflow");
       break;
-    case Opcode::Return: {
+    }
+    case C::Return: {
       ++Result.Stats.Returns;
-      executeDelaySlot(B);
-      if (CallStack.empty()) {
+      executeDelaySlot(O);
+      if (Frames.empty()) {
         Result.ExitCode = static_cast<int32_t>(getReg(RegRV));
         Halted = true;
         break;
       }
-      int64_t RV = getReg(RegRV);
-      Frame F = std::move(CallStack.back());
-      CallStack.pop_back();
+      const int64_t RV = getReg(RegRV);
+      const Frame F = Frames.back();
+      Frames.pop_back();
       Func = F.Func;
-      Block = F.Block;
-      InsnIdx = F.InsnIdx;
-      Regs = std::move(F.Regs);
+      Pc = F.ReturnOp;
+      RegBase = F.RegBase;
+      Regs = M.RegStack.data() + RegBase;
       setReg(RegRV, RV);
       break;
     }
     default:
-      execute(I);
-      ++InsnIdx;
+      execute(O);
+      ++Pc;
       break;
     }
   }
 }
 
-} // namespace
+RunResult Machine::run(const Image &Img, const RunOptions &Options) {
+  if (!Mem || MemSize != Options.MemBytes) {
+    Mem.reset(static_cast<uint8_t *>(
+        std::calloc(std::max<size_t>(Options.MemBytes, 1), 1)));
+    CODEREP_CHECK(Mem != nullptr, "cannot allocate interpreter memory");
+    MemSize = Options.MemBytes;
+  } else {
+    // Zero exactly what the previous run wrote.
+    if (DataHi > GlobalBase)
+      std::memset(Mem.get() + GlobalBase, 0, DataHi - GlobalBase);
+    if (StackLo < MemSize)
+      std::memset(Mem.get() + StackLo, 0, MemSize - StackLo);
+  }
+  DataHi = GlobalBase;
+  StackLo = MemSize;
+
+  State S(*this, Img, Options);
+  S.exec();
+  if (Options.CaptureGlobals && Img.DataEnd > GlobalBase &&
+      Img.DataEnd <= MemSize)
+    S.Result.GlobalsMem.assign(Mem.get() + GlobalBase,
+                               Mem.get() + Img.DataEnd);
+  return std::move(S.Result);
+}
 
 RunResult ease::run(const Program &P, const RunOptions &Options) {
-  Machine M(P, Options);
-  return M.run();
+  Machine M;
+  return M.run(Image(P), Options);
 }

@@ -1,9 +1,10 @@
 //===- Oracle.cpp - Per-pass translation-validation oracle ---------------------===//
 //
-// The comparison battery. Each check clones the snapshot and the current
-// function into single-function probe programs (calls to other measured
-// functions are stubbed by the interpreter) and executes both on the same
-// derived inputs; the first diverging observable becomes the report.
+// The comparison battery. Each check lowers the current function into a
+// single-function probe image (calls to other measured functions are
+// stubbed by the interpreter) and executes it and the baseline's image on
+// the same derived inputs, all on the session's one machine; the first
+// diverging observable becomes the report.
 //
 //===----------------------------------------------------------------------===//
 
@@ -87,18 +88,14 @@ ProbeInput deriveInput(const OracleOptions &O, const std::string &Fn,
   return In;
 }
 
-/// Executes \p F alone, with \p Globals, on \p In. \p Arity carries the
-/// whole program's per-callee argument-word counts so stubbed call events
-/// record declared arguments only (the caller's frame beyond them is not
-/// an observable).
-ease::RunResult runProbe(const cfg::Function &F,
-                         const std::vector<cfg::Global> &Globals,
+/// Executes probe image \p Img on \p In. \p Arity carries the whole
+/// program's per-callee argument-word counts so stubbed call events record
+/// declared arguments only (the caller's frame beyond them is not an
+/// observable).
+ease::RunResult runProbe(ease::Machine &M, const ease::Image &Img,
                          const std::vector<int> &Arity,
                          const OracleOptions &O, const ProbeInput &In,
                          uint64_t StubSeed) {
-  cfg::Program P;
-  P.Globals = Globals;
-  P.Functions.push_back(F.clone());
   ease::RunOptions RO;
   RO.MaxSteps = O.MaxSteps;
   RO.EntryFunction = 0;
@@ -109,7 +106,7 @@ ease::RunResult runProbe(const cfg::Function &F,
   RO.CaptureGlobals = true;
   if (!In.MemImage.empty())
     RO.MemImage = &In.MemImage;
-  return ease::run(P, RO);
+  return M.run(Img, RO);
 }
 
 std::string renderCallEvent(const ease::RunResult::CallEvent &E) {
@@ -179,12 +176,12 @@ bool firstDivergence(const ease::RunResult &A, const ease::RunResult &B,
 namespace coderep::verify {
 
 /// One function's observer: keeps the most recent validated state as the
-/// baseline and, whenever the configured granularity fires, executes
-/// baseline vs. current on the input battery.
+/// baseline (lowered once, as an image) and, whenever the configured
+/// granularity fires, executes baseline vs. current on the input battery.
 class OracleSession final : public opt::FunctionVerifier::Session {
 public:
   OracleSession(Oracle &O, const cfg::Function &F)
-      : O(O), Baseline(F.clone()), BaselineText(cfg::toString(F)) {}
+      : O(O), Baseline(F, O.Globals), BaselineText(cfg::toString(F)) {}
 
   void afterPass(opt::Phase Ph, int Round, const cfg::Function &F,
                  bool Changed) override {
@@ -209,8 +206,9 @@ private:
   void check(const char *Pass, int Round, const cfg::Function &F);
 
   Oracle &O;
-  std::unique_ptr<cfg::Function> Baseline;
+  ease::Image Baseline;
   std::string BaselineText;
+  ease::Machine M; ///< runs every probe of this session
 };
 
 void OracleSession::check(const char *Pass, int Round, const cfg::Function &F) {
@@ -230,14 +228,15 @@ void OracleSession::check(const char *Pass, int Round, const cfg::Function &F) {
                       obs::escapeJson(F.Name).c_str(), Pass, Round)
              : std::string());
 
+  ease::Image Current(F, O.Globals);
   int64_t InputsRun = 0, Inconclusive = 0;
   for (int I = 0; I < O.Opts.Inputs; ++I) {
     const ProbeInput In = deriveInput(O.Opts, F.Name, I);
     const uint64_t StubSeed = mix(O.Opts.Seed ^ static_cast<uint64_t>(I));
     const ease::RunResult A =
-        runProbe(*Baseline, O.Globals, O.Arity, O.Opts, In, StubSeed);
+        runProbe(M, Baseline, O.Arity, O.Opts, In, StubSeed);
     const ease::RunResult B =
-        runProbe(F, O.Globals, O.Arity, O.Opts, In, StubSeed);
+        runProbe(M, Current, O.Arity, O.Opts, In, StubSeed);
     ++InputsRun;
     // Double-clean rule: a trap on either side (including the step limit)
     // makes the input inconclusive - legal code motion may reorder a trap
@@ -261,7 +260,7 @@ void OracleSession::check(const char *Pass, int Round, const cfg::Function &F) {
 
   // Validated (or reported): the current state becomes the next baseline,
   // so each report names the single pass that introduced the divergence.
-  Baseline = F.clone();
+  Baseline = std::move(Current);
   BaselineText = std::move(CurText);
 
   if (O.Opts.Sink)

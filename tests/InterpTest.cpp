@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 using namespace coderep;
 using namespace coderep::cfg;
 using namespace coderep::ease;
@@ -346,23 +348,203 @@ TEST(Interp, IntrinsicsRoundTrip) {
   EXPECT_EQ(R.ExitCode, 1);
 }
 
+/// Records every fetch address, in order.
+struct FetchRecorder : FetchSink {
+  std::vector<uint32_t> Addrs;
+  void fetch(uint32_t Addr) override { Addrs.push_back(Addr); }
+};
+
 TEST(Layout, AddressesAreSequentialWords) {
   Program P = makeProgram({
       Insn::move(vr(0), Operand::imm(1)),
       Insn::move(Operand::reg(RegRV), vr(0)),
   });
-  CodeLayout L = layoutCode(P, 0x100);
-  EXPECT_EQ(L.BlockAddr[0][0], 0x100u);
-  EXPECT_EQ(L.insnAddr(0, 0, 2), 0x108u);
+  Image Img(P, 0x100);
   // 4 RTLs (prologue move + 2 + ret).
-  EXPECT_EQ(L.CodeBytes, 16u);
+  EXPECT_EQ(Img.codeBytes(), 16u);
+  FetchRecorder Sink;
+  RunOptions RO;
+  RO.Sink = &Sink;
+  Machine M;
+  ASSERT_TRUE(M.run(Img, RO).ok());
+  EXPECT_EQ(Sink.Addrs, (std::vector<uint32_t>{0x100, 0x104, 0x108, 0x10c}));
 }
 
 TEST(Layout, DelaySlotOccupiesWordAfterTerminator) {
   Program P = makeProgram({Insn::move(Operand::reg(RegRV), Operand::imm(0))});
   P.Functions[0]->block(0)->DelaySlot = Insn(Opcode::Nop);
-  CodeLayout L = layoutCode(P);
-  EXPECT_EQ(L.CodeBytes, 16u); // 3 RTLs + slot
+  Image Img(P);
+  EXPECT_EQ(Img.codeBytes(), 16u); // 3 RTLs + slot
+  FetchRecorder Sink;
+  RunOptions RO;
+  RO.Sink = &Sink;
+  Machine M;
+  ASSERT_TRUE(M.run(Img, RO).ok());
+  // The return at 8 is fetched before its slot at 12.
+  EXPECT_EQ(Sink.Addrs, (std::vector<uint32_t>{0, 4, 8, 12}));
+}
+
+/// A loop over empty blocks, fall-throughs and delay slots:
+///   B0: fp <- sp; v0 <- 3            (falls through)
+///   B1: (empty)
+///   B2: v0 -= 1; NZ <- v0 ? 0; if NZ != 0 goto B2   [slot: v1 += 2]
+///   B3: (empty)
+///   B4: rv <- v1; goto B5                          [slot: nop]
+///   B5: return                                     [slot: rv += 1]
+Program stepProgram() {
+  Program P;
+  auto F = std::make_unique<Function>("main");
+  for (int I = 0; I < 4; ++I)
+    F->freshVReg();
+  int LLoop = F->freshLabel();
+  int LEnd = F->freshLabel();
+  BasicBlock *B0 = F->appendBlock();
+  B0->Insns.push_back(Insn::move(Operand::reg(RegFP), Operand::reg(RegSP)));
+  B0->Insns.push_back(Insn::move(vr(0), Operand::imm(3)));
+  F->appendBlock();
+  BasicBlock *B2 = F->appendBlockWithLabel(LLoop);
+  B2->Insns.push_back(
+      Insn::binary(Opcode::Sub, vr(0), vr(0), Operand::imm(1)));
+  B2->Insns.push_back(Insn::compare(vr(0), Operand::imm(0)));
+  B2->Insns.push_back(Insn::condJump(CondCode::Ne, LLoop));
+  B2->DelaySlot = Insn::binary(Opcode::Add, vr(1), vr(1), Operand::imm(2));
+  F->appendBlock();
+  BasicBlock *B4 = F->appendBlock();
+  B4->Insns.push_back(Insn::move(Operand::reg(RegRV), vr(1)));
+  B4->Insns.push_back(Insn::jump(LEnd));
+  B4->DelaySlot = Insn(Opcode::Nop);
+  BasicBlock *B5 = F->appendBlockWithLabel(LEnd);
+  B5->Insns.push_back(Insn::ret());
+  B5->DelaySlot = Insn::binary(Opcode::Add, Operand::reg(RegRV),
+                               Operand::reg(RegRV), Operand::imm(1));
+  P.Functions.push_back(std::move(F));
+  return P;
+}
+
+TEST(Image, EveryStepBudgetPinsExecutedAndFetches) {
+  // Recorded from the block-walking interpreter the image replaced. A
+  // fall-through out of a block is a step that fetches nothing, so
+  // budgets 3 and 4 (leaving B0 and the empty B1) and 14 (leaving the
+  // empty B3) execute no more RTLs than the budget before them.
+  const std::vector<uint32_t> Fetches = {0,  4,  8,  12, 16, 20, 8,
+                                         12, 16, 20, 8,  12, 16, 20,
+                                         24, 28, 32, 36, 40};
+  const uint64_t Executed[] = {1,  2,  2,  2,  3,  4,  6,  7,  8,
+                               10, 11, 12, 14, 14, 15, 17, 19};
+  const uint64_t FullRun = std::size(Executed);
+  Image Img(stepProgram());
+  EXPECT_EQ(Img.codeBytes(), 44u);
+  Machine M;
+  for (uint64_t Budget = 1; Budget <= FullRun; ++Budget) {
+    FetchRecorder Sink;
+    RunOptions RO;
+    RO.MaxSteps = Budget;
+    RO.Sink = &Sink;
+    const RunResult R = M.run(Img, RO);
+    const uint64_t N = Executed[Budget - 1];
+    EXPECT_EQ(R.Stats.Executed, N) << "budget " << Budget;
+    EXPECT_EQ(R.TrapKind, Budget < FullRun ? Trap::StepLimit : Trap::None)
+        << "budget " << Budget;
+    EXPECT_EQ(Sink.Addrs, std::vector<uint32_t>(Fetches.begin(),
+                                                Fetches.begin() + N))
+        << "budget " << Budget;
+    if (Budget == FullRun) {
+      EXPECT_EQ(R.ExitCode, 7); // 3 trips of v1 += 2, then rv += 1
+      EXPECT_EQ(R.Stats.Nops, 1u);
+      EXPECT_EQ(R.Stats.CondBranches, 3u);
+      EXPECT_EQ(R.Stats.CondTaken, 2u);
+      EXPECT_EQ(R.Stats.UncondJumps, 1u);
+    }
+  }
+}
+
+void expectSameRun(const RunResult &A, const RunResult &B) {
+  EXPECT_EQ(A.Output, B.Output);
+  EXPECT_EQ(A.ExitCode, B.ExitCode);
+  EXPECT_EQ(A.CallEvents, B.CallEvents);
+  EXPECT_EQ(A.GlobalsMem, B.GlobalsMem);
+  EXPECT_EQ(A.Stats.Executed, B.Stats.Executed);
+  EXPECT_EQ(A.Stats.UncondJumps, B.Stats.UncondJumps);
+  EXPECT_EQ(A.Stats.IndirectJumps, B.Stats.IndirectJumps);
+  EXPECT_EQ(A.Stats.CondBranches, B.Stats.CondBranches);
+  EXPECT_EQ(A.Stats.CondTaken, B.Stats.CondTaken);
+  EXPECT_EQ(A.Stats.Returns, B.Stats.Returns);
+  EXPECT_EQ(A.Stats.Calls, B.Stats.Calls);
+  EXPECT_EQ(A.Stats.Nops, B.Stats.Nops);
+  EXPECT_EQ(A.TrapKind, B.TrapKind);
+  EXPECT_EQ(A.TrapMessage, B.TrapMessage);
+}
+
+TEST(Machine, ReuseMatchesAFreshMachine) {
+  // probe(1) dirties the globals and a frame 40 KB deep; probe(2) traps
+  // inside the call to far(); probe(3) spins. probe(0) then reads the same
+  // globals and stack words, which a reused machine must have zeroed -
+  // the data segment and the stack both.
+  const char *Src = R"(
+    int g[4];
+    int far(int i) { return g[i]; }
+    int report(int x) { return x; }
+    int probe(int mode) {
+      int a[10000];
+      int i;
+      if (mode == 1) {
+        for (i = 0; i < 10000; i++)
+          a[i] = i + 1;
+        g[0] = 7;
+        g[3] = 9;
+        return 1;
+      }
+      if (mode == 2)
+        return far(3000000);
+      if (mode == 3)
+        while (1)
+          i++;
+      report(a[0] + a[9999]);
+      return a[0] + a[5000] + a[9999] + g[0] + g[3];
+    }
+    int main() { return probe(getchar() - '0'); }
+  )";
+  Program P;
+  std::string Err;
+  ASSERT_TRUE(frontend::compileToRtl(Src, P, Err)) << Err;
+  const int Probe = P.findFunction("probe");
+  ASSERT_GE(Probe, 0);
+  const Image Img(P);
+  std::vector<uint8_t> MemImage(64, 0xa5);
+  auto probeRun = [&](int Mode) {
+    RunOptions RO;
+    RO.EntryFunction = Probe;
+    RO.EntryArgs = {Mode};
+    RO.MemImage = &MemImage;
+    RO.CaptureGlobals = true;
+    return RO;
+  };
+
+  Machine Reused;
+  const RunResult Dirty = Reused.run(Img, probeRun(1));
+  ASSERT_TRUE(Dirty.ok()) << Dirty.TrapMessage;
+  ASSERT_EQ(Dirty.GlobalsMem.size(), 16u);
+  EXPECT_EQ(Dirty.GlobalsMem[0], 7u);
+  RunOptions Trapping = probeRun(2);
+  EXPECT_EQ(Reused.run(Img, Trapping).TrapKind, Trap::OutOfBounds);
+  RunOptions Spinning = probeRun(3);
+  Spinning.MaxSteps = 5000;
+  EXPECT_EQ(Reused.run(Img, Spinning).TrapKind, Trap::StepLimit);
+
+  // The oracle's input 0: no memory image, calls stubbed.
+  RunOptions Clean = probeRun(0);
+  Clean.MemImage = nullptr;
+  Clean.StubCalls = true;
+  const RunResult Again = Reused.run(Img, Clean);
+  Machine Fresh;
+  const RunResult First = Fresh.run(Img, Clean);
+  ASSERT_TRUE(First.ok()) << First.TrapMessage;
+  EXPECT_EQ(First.GlobalsMem, std::vector<uint8_t>(16, 0));
+  ASSERT_EQ(First.CallEvents.size(), 1u);
+  EXPECT_EQ(First.CallEvents[0].Args[0], 0);
+  expectSameRun(Again, First);
+  // ease::run is the same fresh machine.
+  expectSameRun(run(P, Clean), First);
 }
 
 TEST(Interp, FetchSinkSeesEveryExecutedInsn) {

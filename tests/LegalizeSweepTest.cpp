@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 using namespace coderep;
 using namespace coderep::cfg;
 using namespace coderep::ease;
@@ -22,11 +25,17 @@ namespace {
 
 enum class Shape { RegReg, RegImm, RegMem, MemReg, MemImm, MemMem };
 
+/// gtest prints a parameter without a printer as its bytes, into the
+/// ctest name too, so the struct has no padding: the three bytes after the
+/// one-byte Op are a member, zero in every instance.
 struct SweepParam {
   TargetKind TK;
   Opcode Op;
+  uint8_t Zero[3];
   Shape S;
 };
+static_assert(std::has_unique_object_representations_v<SweepParam>,
+              "padding bytes would print as garbage in the test names");
 
 std::string paramName(const ::testing::TestParamInfo<SweepParam> &Info) {
   std::string N = Info.param.TK == TargetKind::M68 ? "M68_" : "Sparc_";
@@ -172,7 +181,7 @@ std::vector<SweepParam> allParams() {
                       Opcode::And, Opcode::Shl})
       for (Shape S : {Shape::RegReg, Shape::RegImm, Shape::RegMem,
                       Shape::MemReg, Shape::MemImm, Shape::MemMem})
-        Out.push_back({TK, Op, S});
+        Out.push_back({TK, Op, {}, S});
   return Out;
 }
 

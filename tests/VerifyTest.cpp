@@ -22,6 +22,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 using namespace coderep;
 using namespace coderep::cfg;
 using namespace coderep::driver;
@@ -148,6 +150,80 @@ TEST(Verify, OracleIsCleanOnRandomPrograms) {
                         << formatReport(O.reports().front());
   }
 }
+
+/// One suite program's oracle counters at Granularity::Final, summed over
+/// both targets and all three levels.
+struct FinalVerdicts {
+  const char *Program;
+  int64_t Checks, Inputs, Inconclusive;
+};
+
+void PrintTo(const FinalVerdicts &V, std::ostream *OS) { *OS << V.Program; }
+
+/// Recorded from the block-walking interpreter the image replaced; the
+/// totals are `fuzz_compile --seeds=0 --suite --verify=final`'s.
+constexpr FinalVerdicts SuiteFinalVerdicts[] = {
+    {"cal", 18, 72, 18},       {"quicksort", 6, 24, 0},
+    {"wc", 6, 24, 0},          {"grep", 24, 96, 36},
+    {"sort", 18, 72, 24},      {"od", 6, 24, 0},
+    {"mincost", 18, 72, 0},    {"bubblesort", 6, 24, 24},
+    {"matmult", 6, 24, 24},    {"banner", 24, 96, 12},
+    {"sieve", 6, 24, 24},      {"compact", 12, 48, 18},
+    {"queens", 18, 72, 6},     {"deroff", 6, 24, 0},
+};
+
+constexpr FinalVerdicts sumOf(const FinalVerdicts (&Table)[14]) {
+  FinalVerdicts Sum{"all", 0, 0, 0};
+  for (const FinalVerdicts &V : Table) {
+    Sum.Checks += V.Checks;
+    Sum.Inputs += V.Inputs;
+    Sum.Inconclusive += V.Inconclusive;
+  }
+  return Sum;
+}
+static_assert(sumOf(SuiteFinalVerdicts).Checks == 174 &&
+              sumOf(SuiteFinalVerdicts).Inputs == 696 &&
+              sumOf(SuiteFinalVerdicts).Inconclusive == 186);
+
+class OracleSuiteVerdicts : public ::testing::TestWithParam<FinalVerdicts> {};
+
+TEST_P(OracleSuiteVerdicts, FinalGranularityCountersArePinned) {
+  // The oracle's verdicts rest on the interpreter's trap and step
+  // semantics: which probes hit the step budget or trap decides which
+  // inputs are inconclusive.
+  const FinalVerdicts &V = GetParam();
+  const bench::BenchProgram *BP = nullptr;
+  for (const bench::BenchProgram &P : bench::suite())
+    if (P.Name == V.Program)
+      BP = &P;
+  ASSERT_NE(BP, nullptr) << V.Program << " is not a suite program";
+  OracleCounters Sum;
+  for (target::TargetKind TK :
+       {target::TargetKind::M68, target::TargetKind::Sparc})
+    for (opt::OptLevel Level : {opt::OptLevel::Simple, opt::OptLevel::Loops,
+                                opt::OptLevel::Jumps}) {
+      OracleOptions OO;
+      OO.Gran = Granularity::Final;
+      Oracle O(OO);
+      opt::PipelineOptions Opts;
+      Opts.Verifier = &O;
+      Compilation C = compile(BP->Source, TK, Level, &Opts);
+      ASSERT_TRUE(C.ok()) << C.Error;
+      const OracleCounters OC = O.counters();
+      Sum.Checks += OC.Checks;
+      Sum.InputsRun += OC.InputsRun;
+      Sum.Inconclusive += OC.Inconclusive;
+      Sum.Mismatches += OC.Mismatches;
+    }
+  EXPECT_EQ(Sum.Checks, V.Checks);
+  EXPECT_EQ(Sum.InputsRun, V.Inputs);
+  EXPECT_EQ(Sum.Inconclusive, V.Inconclusive);
+  EXPECT_EQ(Sum.Mismatches, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Suite, OracleSuiteVerdicts,
+                         ::testing::ValuesIn(SuiteFinalVerdicts),
+                         ::testing::PrintToStringParamName());
 
 const char *MutationVictim = R"(
 int f0(int a, int b) {
