@@ -1,7 +1,8 @@
 //===- fuzz_compile.cpp - Differential fuzzing driver for the pipeline -----===//
 //
 // Hammers the compiler with generated programs (and, with --suite, the
-// paper's 84 benchmark configurations) and checks three things per compile:
+// paper's 84 benchmark configurations) and runs the fuzz check of
+// verify/FuzzCheck.h on each compile:
 //
 //  1. a whole-program differential: the reference translation (front end +
 //     target legalization, no optimizer) and the fully optimized program
@@ -27,13 +28,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "Suite.h"
-#include "frontend/CodeGen.h"
 #include "obs/ObsCli.h"
 #include "support/FlagTable.h"
 #include "support/Format.h"
 #include "support/ThreadPool.h"
-#include "verify/Bisim.h"
-#include "verify/Oracle.h"
+#include "verify/FuzzCheck.h"
 #include "verify/RandomProgram.h"
 #include "verify/Reduce.h"
 #include "verify/VerifyCli.h"
@@ -50,35 +49,27 @@ using namespace coderep;
 
 namespace {
 
-/// Step budget for the whole-program differential. Step-limited runs are
-/// inconclusive (never flag a slow compile as a miscompile).
-constexpr uint64_t DifferentialMaxSteps = 1u << 26;
-
 /// One compile+compare unit of work.
 struct FuzzJob {
   std::string Name; ///< "seed-42/m68/jumps" or "wc/sparc/loops"
   std::string Source;
-  std::string Input; ///< bytes served by getchar()
-  target::TargetKind TK = target::TargetKind::M68;
-  opt::OptLevel Level = opt::OptLevel::Jumps;
+  verify::FuzzCheckOptions Check; ///< target, level, input and checkers
 };
 
 struct FuzzOutcome {
-  bool Failed = false;
+  verify::FuzzVerdict Verdict;
   std::string Report;    ///< rendered failure lines, one per '\n'
   std::string Reduction; ///< the reducer's verdict line, under --reduce
   int ReproBlocks = -1;  ///< reduced block count, -1 when not reduced
-  verify::OracleCounters Oracle;
-  int64_t BisimChecks = 0;
 };
 
 struct FuzzConfig {
   std::vector<target::TargetKind> Targets = {target::TargetKind::M68,
                                              target::TargetKind::Sparc};
   std::vector<opt::OptLevel> Levels = {opt::OptLevel::Jumps};
-  verify::OracleOptions Oracle; ///< Gran==Off disables the oracle
-  obs::TraceConfig Trace;       ///< shared sink; the obs layer is thread-safe
-  bool Mutate = false;
+  /// Every job's oracle, mutation and trace settings; each job adds its
+  /// target, level and input.
+  verify::FuzzCheckOptions Check;
   bool Reduce = false;
   bool ExpectMismatch = false;
   std::string ReproDir;
@@ -98,94 +89,22 @@ choicesWithAll(const support::NamedValue<E> (&Names)[N], const char *All) {
   return Out;
 }
 
-/// Front end + legalization only: the reference translation.
-bool referenceTranslate(const std::string &Src, target::TargetKind TK,
-                        cfg::Program &Out, std::string &Err) {
-  if (!frontend::compileToRtl(Src, Out, Err))
-    return false;
-  std::unique_ptr<target::Target> T = target::createTarget(TK);
-  for (auto &F : Out.Functions) {
-    T->legalizeFunction(*F);
-    F->verify();
-  }
-  return true;
-}
-
-ease::RunResult execute(const cfg::Program &P, const std::string &Input) {
-  ease::RunOptions RO;
-  RO.Input = Input;
-  RO.MaxSteps = DifferentialMaxSteps;
-  return ease::run(P, RO);
-}
-
-/// Compiles one job both ways and compares every checker's verdict.
-FuzzOutcome checkJob(const FuzzConfig &C, const FuzzJob &J) {
+/// Runs the fuzz check on one job and renders its failures.
+FuzzOutcome checkJob(const FuzzJob &J) {
   FuzzOutcome Out;
-  auto fail = [&](const std::string &Line) {
-    Out.Failed = true;
+  Out.Verdict = verify::fuzzCheck(J.Source, J.Check);
+  for (const std::string &Line : Out.Verdict.Failures)
     Out.Report += J.Name + ": " + Line + "\n";
-  };
-
-  cfg::Program Ref;
-  std::string Err;
-  if (!referenceTranslate(J.Source, J.TK, Ref, Err)) {
-    fail("reference translation failed: " + Err);
-    return Out;
-  }
-
-  opt::PipelineOptions PO;
-  PO.Trace = C.Trace;
-  PO.MutateForTesting = C.Mutate;
-  std::unique_ptr<verify::Oracle> O;
-  if (C.Oracle.Gran != verify::Granularity::Off) {
-    O = std::make_unique<verify::Oracle>(C.Oracle);
-    PO.Verifier = O.get();
-  }
-  verify::BisimValidator BV;
-  PO.Replication.Validator = &BV;
-
-  driver::Compilation Compiled = driver::compile(J.Source, J.TK, J.Level, &PO);
-  if (!Compiled.ok()) {
-    fail("compile error: " + Compiled.Error);
-    return Out;
-  }
-
-  if (O) {
-    Out.Oracle = O->counters();
-    if (!O->ok())
-      for (const verify::VerifyReport &R : O->reports())
-        fail(formatReport(R));
-  }
-  Out.BisimChecks = BV.checks();
-  if (!BV.ok())
-    for (const std::string &F : BV.failures())
-      fail(F);
-
-  const ease::RunResult A = execute(Ref, J.Input);
-  const ease::RunResult B = execute(*Compiled.Prog, J.Input);
-  // Double-clean rule at whole-program scope: a step-limited side is
-  // inconclusive, everything else must match exactly.
-  if (A.TrapKind != ease::Trap::StepLimit &&
-      B.TrapKind != ease::Trap::StepLimit &&
-      (A.TrapKind != B.TrapKind || A.ExitCode != B.ExitCode ||
-       A.Output != B.Output))
-    fail("differential mismatch: exit " + std::to_string(A.ExitCode) +
-         " vs " + std::to_string(B.ExitCode) + ", output " +
-         std::to_string(A.Output.size()) + " vs " +
-         std::to_string(B.Output.size()) + " bytes" +
-         (A.ok() && B.ok() ? "" : " (trap on one side)"));
   return Out;
 }
 
 /// Reduces a failing job into \p Out and (when --repro-dir is given)
-/// writes the artifacts. ReproBlocks stays -1 when the reduction did not
-/// reproduce the mismatch (e.g. an input-dependent suite failure; the
-/// reducer runs programs without input).
+/// writes the artifacts. The reducer keeps candidates by the job's own
+/// fuzz check; ReproBlocks stays -1 when the reduction did not reproduce
+/// the failure.
 void reduceAndDump(const FuzzConfig &C, const FuzzJob &J, FuzzOutcome &Out) {
   verify::ReduceOptions RO;
-  RO.TK = J.TK;
-  RO.Level = J.Level;
-  RO.Pipeline.MutateForTesting = C.Mutate;
+  RO.Check = J.Check;
   verify::ReduceResult R = verify::reduce(J.Source, RO);
 
   Out.Reduction = format("%s: %s, repro %d lines / %d blocks\n",
@@ -237,12 +156,12 @@ int main(int Argc, char **Argv) {
   Verify.addFlags(Flags);
   Flags.parseOrExit(Argc, Argv);
   C.Reduce |= C.ExpectMismatch;
-  C.Mutate = Verify.mutate();
   if (!Suite && SeedHi < SeedLo)
     return Flags.usageError("nothing to do (pass --seeds=N and/or --suite)");
-  C.Oracle = Verify.options();
-  C.Trace = Obs.config();
-  C.Oracle.Sink = C.Trace.Sink;
+  C.Check.Mutate = Verify.mutate();
+  C.Check.Oracle = Verify.options();
+  C.Check.Trace = Obs.config();
+  C.Check.Oracle.Sink = C.Check.Trace.Sink;
 
   // The work list: every seed and/or every benchmark configuration. The
   // suite sweep always covers all 14 programs x 2 targets x 3 levels.
@@ -255,8 +174,9 @@ int main(int Argc, char **Argv) {
           J.Name = "seed-" + std::to_string(Seed) + "/" +
                    target::targetName(TK) + "/" + opt::optLevelName(Level);
           J.Source = verify::randomProgram(Seed);
-          J.TK = TK;
-          J.Level = Level;
+          J.Check = C.Check;
+          J.Check.TK = TK;
+          J.Check.Level = Level;
           Jobs.push_back(std::move(J));
         }
   if (Suite)
@@ -270,9 +190,10 @@ int main(int Argc, char **Argv) {
           J.Name = BP.Name + "/" + target::targetName(TK) + "/" +
                    opt::optLevelName(Level);
           J.Source = BP.Source;
-          J.Input = BP.Input;
-          J.TK = TK;
-          J.Level = Level;
+          J.Check = C.Check;
+          J.Check.TK = TK;
+          J.Check.Level = Level;
+          J.Check.Input = BP.Input;
           Jobs.push_back(std::move(J));
         }
 
@@ -284,8 +205,8 @@ int main(int Argc, char **Argv) {
     ThreadPool Pool(static_cast<unsigned>(
         std::min(static_cast<size_t>(C.Jobs), Jobs.size())));
     Pool.parallelFor(Jobs.size(), [&](size_t I) {
-      Outcomes[I] = checkJob(C, Jobs[I]);
-      if (Outcomes[I].Failed && C.Reduce)
+      Outcomes[I] = checkJob(Jobs[I]);
+      if (!Outcomes[I].Verdict.Failures.empty() && C.Reduce)
         reduceAndDump(C, Jobs[I], Outcomes[I]);
     });
   }
@@ -296,12 +217,13 @@ int main(int Argc, char **Argv) {
   int BestRepro = -1; ///< smallest reduced block count across failures
   for (size_t I = 0; I < Jobs.size(); ++I) {
     const FuzzOutcome &O = Outcomes[I];
-    Total.Checks += O.Oracle.Checks;
-    Total.InputsRun += O.Oracle.InputsRun;
-    Total.Mismatches += O.Oracle.Mismatches;
-    Total.Inconclusive += O.Oracle.Inconclusive;
-    BisimChecks += O.BisimChecks;
-    if (!O.Failed)
+    const verify::FuzzVerdict &V = O.Verdict;
+    Total.Checks += V.Oracle.Checks;
+    Total.InputsRun += V.Oracle.InputsRun;
+    Total.Mismatches += V.Oracle.Mismatches;
+    Total.Inconclusive += V.Oracle.Inconclusive;
+    BisimChecks += V.BisimChecks;
+    if (V.Failures.empty())
       continue;
     ++Failures;
     std::fprintf(stderr, "%s%s", O.Report.c_str(), O.Reduction.c_str());

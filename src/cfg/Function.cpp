@@ -156,3 +156,11 @@ int Program::rtlCount() const {
     N += F->rtlCount();
   return N;
 }
+
+Program Program::clone() const {
+  Program Out;
+  Out.Globals = Globals;
+  for (const auto &F : Functions)
+    Out.Functions.push_back(F->clone());
+  return Out;
+}

@@ -251,6 +251,9 @@ public:
   /// Total static RTL count over all functions (Table 5's "static
   /// instructions").
   int rtlCount() const;
+
+  /// A deep copy: every function cloned, the globals copied.
+  Program clone() const;
 };
 
 } // namespace coderep::cfg

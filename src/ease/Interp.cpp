@@ -498,11 +498,17 @@ void Machine::State::doPrintf() {
     case '%':
       Out.push_back('%');
       break;
+    case 'c':
+      // The argument's low byte, as C prints it; a length modifier would
+      // make it a wide character.
+      Spec.push_back('c');
+      Out += format(Spec.c_str(),
+                    static_cast<unsigned char>(intrinsicArg(ArgIdx++)));
+      break;
     case 'd':
     case 'u':
     case 'o':
-    case 'x':
-    case 'c': {
+    case 'x': {
       Spec.push_back(Conv == 'u' ? 'd' : Conv);
       long long V = intrinsicArg(ArgIdx++);
       if (Conv == 'd' || Conv == 'u')

@@ -14,8 +14,8 @@
 ///
 /// Validity is keyed on cfg::Function::analysisEpoch(), a counter every
 /// mutation path bumps (block-list mutators automatically, in-place RTL
-/// edits via Function::noteRtlEdit()). The protocol, driven by the
-/// pipeline's PassRunner:
+/// edits via Function::noteRtlEdit()). The protocol, driven by the one
+/// helper through which the pipeline runs every pass:
 ///
 ///  1. record Before = F.analysisEpoch(), run the pass;
 ///  2. if it changed the function, call commit(Before, Preserved):

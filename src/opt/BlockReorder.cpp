@@ -18,10 +18,10 @@ using namespace coderep::cfg;
 using namespace coderep::opt;
 using namespace coderep::rtl;
 
-bool opt::runBlockReorder(Function &F) {
+PassResult opt::runBlockReorder(Function &F) {
   int N = F.size();
   if (N <= 1)
-    return false;
+    return {};
 
   // Partition the positional order into fall-through chains.
   std::vector<std::vector<int>> Chains;
@@ -35,7 +35,7 @@ bool opt::runBlockReorder(Function &F) {
     ChainOf[I] = static_cast<int>(Chains.size()) - 1;
   }
   if (Chains.size() <= 1)
-    return false;
+    return {};
 
   // Greedy placement: after placing a chain that ends in "goto L", place
   // the chain headed by L if it is still unplaced.
@@ -73,7 +73,7 @@ bool opt::runBlockReorder(Function &F) {
     if (NewOrder[I] != I)
       Moved = true;
   if (!Moved)
-    return false;
+    return {};
 
   // Rebuild the blocks in the new order by moving their payloads; labels
   // travel with the payload, so branches stay correct.
@@ -100,13 +100,17 @@ bool opt::runBlockReorder(Function &F) {
   // that became jumps-to-next.
   F.noteBlockRemap();
   F.normalizeFallthroughs();
-  return true;
+  // Reordering restructures the block list outright, so every shape and
+  // dataflow result is invalid. The shortest-path matrix stays marked
+  // preserved: it is fingerprint-revalidated on every reuse, and such a
+  // change always perturbs the fingerprint.
+  return {true, PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths)};
 }
 
-bool opt::runMergeFallthroughs(Function &F) {
+PassResult opt::runMergeFallthroughs(Function &F) {
   int N = F.size();
   if (N <= 1)
-    return false;
+    return {};
   std::vector<int> PredCount(N, 0);
   for (int I = 0; I < N; ++I)
     F.forEachSuccessor(I, [&](int S) { ++PredCount[S]; });
@@ -131,46 +135,8 @@ bool opt::runMergeFallthroughs(Function &F) {
     F.eraseBlock(I + 1);
     Changed = true;
   }
-  return Changed;
+  // Merging erases blocks (same argument as block reordering above).
+  return {Changed,
+          PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths)};
 }
 
-namespace {
-
-// Reordering and merging both restructure the block list outright, so a
-// change invalidates every shape and dataflow result. The shortest-path
-// matrix stays marked preserved: it is fingerprint-revalidated on every
-// reuse (and such a change always perturbs the fingerprint).
-
-class BlockReorderPass final : public Pass {
-public:
-  const char *name() const override { return "block reordering"; }
-  PassResult run(Function &F, AnalysisManager &) override {
-    PassResult R;
-    R.Changed = runBlockReorder(F);
-    R.Preserved =
-        PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths);
-    return R;
-  }
-};
-
-class MergeFallthroughsPass final : public Pass {
-public:
-  const char *name() const override { return "fall-through merging"; }
-  PassResult run(Function &F, AnalysisManager &) override {
-    PassResult R;
-    R.Changed = runMergeFallthroughs(F);
-    R.Preserved =
-        PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths);
-    return R;
-  }
-};
-
-} // namespace
-
-std::unique_ptr<Pass> opt::createBlockReorderPass() {
-  return std::make_unique<BlockReorderPass>();
-}
-
-std::unique_ptr<Pass> opt::createMergeFallthroughsPass() {
-  return std::make_unique<MergeFallthroughsPass>();
-}

@@ -33,7 +33,7 @@ static int chaseLabel(const Function &F, int Label) {
   }
 }
 
-bool opt::runBranchChaining(Function &F) {
+PassResult opt::runBranchChaining(Function &F) {
   bool Changed = false;
   for (int I = 0; I < F.size(); ++I) {
     BasicBlock *B = F.block(I);
@@ -110,52 +110,17 @@ bool opt::runBranchChaining(Function &F) {
     F.eraseBlock(I + 1);
     Changed = true;
   }
-  return Changed;
+  // Retargeted edges and erased blocks rewrite the flow graph itself, so
+  // a change invalidates every shape and dataflow result. The
+  // shortest-path matrix stays marked preserved: it revalidates itself
+  // against a structural fingerprint on every reuse, which any such change
+  // perturbs.
+  return {Changed,
+          PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths)};
 }
 
-bool opt::runUnreachableElim(Function &F) {
-  return removeUnreachableBlocks(F) > 0;
-}
-
-namespace {
-
-// Both passes here rewrite the flow graph itself (retargeted edges,
-// erased blocks), so a change invalidates every shape and dataflow
-// result. The shortest-path matrix is still marked preserved: it
-// revalidates itself against a structural fingerprint on every reuse
-// (which any such change perturbs), and the seed pipeline never dropped
-// it eagerly either.
-
-class BranchChainingPass final : public Pass {
-public:
-  const char *name() const override { return "branch chaining"; }
-  PassResult run(Function &F, AnalysisManager &) override {
-    PassResult R;
-    R.Changed = runBranchChaining(F);
-    R.Preserved =
-        PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths);
-    return R;
-  }
-};
-
-class UnreachableElimPass final : public Pass {
-public:
-  const char *name() const override { return "unreachable elimination"; }
-  PassResult run(Function &F, AnalysisManager &) override {
-    PassResult R;
-    R.Changed = runUnreachableElim(F);
-    R.Preserved =
-        PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths);
-    return R;
-  }
-};
-
-} // namespace
-
-std::unique_ptr<Pass> opt::createBranchChainingPass() {
-  return std::make_unique<BranchChainingPass>();
-}
-
-std::unique_ptr<Pass> opt::createUnreachableElimPass() {
-  return std::make_unique<UnreachableElimPass>();
+PassResult opt::runUnreachableElim(Function &F) {
+  // Erasing blocks restructures the block list (same argument as above).
+  return {removeUnreachableBlocks(F) > 0,
+          PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths)};
 }

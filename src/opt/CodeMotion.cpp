@@ -239,40 +239,16 @@ restart:
 
 } // namespace
 
-bool opt::runCodeMotion(Function &F) {
-  AnalysisManager AM(F, /*CacheEnabled=*/false);
-  return runCodeMotion(F, AM);
-}
-
-bool opt::runCodeMotion(Function &F, AnalysisManager &AM) {
+PassResult opt::runCodeMotion(Function &F, AnalysisManager &AM) {
   bool Changed = false;
   int Guard = 0;
-  while (true) {
-    HoistStep Step = hoistBurst(F, AM);
-    if (Step == HoistStep::None || Guard++ >= 10000)
-      return Changed || Step != HoistStep::None;
+  while (hoistBurst(F, AM) != HoistStep::None) {
     Changed = true;
+    if (Guard++ >= 10000)
+      break;
   }
-}
-
-namespace {
-
-class CodeMotionPass final : public Pass {
-public:
-  const char *name() const override { return "code motion"; }
-  PassResult run(Function &F, AnalysisManager &AM) override {
-    PassResult R;
-    R.Changed = runCodeMotion(F, AM);
-    // Every edit burst already committed its own effect mid-run (see
-    // hoistOnce), so at return all surviving entries were computed after
-    // the last change; claiming the shape set restamps exactly those.
-    R.Preserved = PreservedAnalyses::cfgShape();
-    return R;
-  }
-};
-
-} // namespace
-
-std::unique_ptr<Pass> opt::createCodeMotionPass() {
-  return std::make_unique<CodeMotionPass>();
+  // Every edit burst already committed its own effect mid-run (see
+  // hoistBurst), so at return all surviving entries were computed after
+  // the last change; claiming the shape set restamps exactly those.
+  return {Changed, PreservedAnalyses::cfgShape()};
 }

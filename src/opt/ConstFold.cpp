@@ -77,7 +77,7 @@ template <class InsnT> static bool simplifyInsn(InsnT &I) {
   return false;
 }
 
-bool opt::runConstantFolding(Function &F) {
+PassResult opt::runConstantFolding(Function &F) {
   bool Changed = false;
   for (int B = 0; B < F.size(); ++B) {
     BasicBlock *Block = F.block(B);
@@ -105,31 +105,12 @@ bool opt::runConstantFolding(Function &F) {
       }
     }
   }
-  return Changed;
-}
-
-namespace {
-
-class ConstantFoldingPass final : public Pass {
-public:
-  const char *name() const override { return "constant folding"; }
-  PassResult run(Function &F, AnalysisManager &) override {
-    PassResult R;
-    R.Changed = runConstantFolding(F);
-    // Folding a comparison of constants rewrites the conditional branch
-    // into a jump (or deletes it), changing edges, so a change preserves
-    // no shape or dataflow result. (The common all-ALU case could keep
-    // shape, but the pass does not distinguish its changes.) The
-    // shortest-path matrix stays marked preserved: it is
-    // fingerprint-revalidated on every reuse.
-    R.Preserved =
-        PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths);
-    return R;
-  }
-};
-
-} // namespace
-
-std::unique_ptr<Pass> opt::createConstantFoldingPass() {
-  return std::make_unique<ConstantFoldingPass>();
+  // Folding a comparison of constants rewrites the conditional branch
+  // into a jump (or deletes it), changing edges, so a change preserves no
+  // shape or dataflow result. (The common all-ALU case could keep shape,
+  // but the pass does not distinguish its changes.) The shortest-path
+  // matrix stays marked preserved: it is fingerprint-revalidated on every
+  // reuse.
+  return {Changed,
+          PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths)};
 }

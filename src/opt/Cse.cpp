@@ -160,29 +160,18 @@ struct ValueTable {
 
 class CsePass {
 public:
-  /// \p Flat, when given, serves the predecessor lists (it is the
-  /// manager's cached CSR snapshot; content and order are identical to
-  /// Function::predecessors(), which is built on demand otherwise).
-  CsePass(Function &F, const target::Target &T,
-          const cfg::FlatCfg *Flat = nullptr)
+  /// \p Flat serves the predecessor lists (the manager's cached CSR
+  /// snapshot of \p F).
+  CsePass(Function &F, const target::Target &T, const cfg::FlatCfg &Flat)
       : F(F), T(T), Flat(Flat) {}
 
   bool run() {
-    std::vector<std::vector<int>> PredsOwned;
-    if (!Flat)
-      PredsOwned = F.predecessors();
     std::vector<std::optional<ValueTable>> OutState(F.size());
     bool Changed = false;
     for (int B = 0; B < F.size(); ++B) {
       ValueTable Table;
-      int SolePred = -1;
-      if (Flat) {
-        cfg::FlatCfg::Range R = Flat->preds(B);
-        if (R.size() == 1)
-          SolePred = *R.begin();
-      } else if (PredsOwned[B].size() == 1) {
-        SolePred = PredsOwned[B][0];
-      }
+      cfg::FlatCfg::Range Preds = Flat.preds(B);
+      const int SolePred = Preds.size() == 1 ? *Preds.begin() : -1;
       if (SolePred >= 0 && SolePred < B && OutState[SolePred])
         Table = *OutState[SolePred]; // extended-basic-block inheritance
       Changed |= processBlock(*F.block(B), Table);
@@ -194,7 +183,7 @@ public:
 private:
   Function &F;
   const target::Target &T;
-  const cfg::FlatCfg *Flat;
+  const cfg::FlatCfg &Flat;
 
   bool processBlock(BasicBlock &B, ValueTable &VT);
   template <class InsnT> bool rewriteOperands(InsnT &I, ValueTable &VT);
@@ -392,39 +381,17 @@ bool CsePass::processBlock(BasicBlock &B, ValueTable &VT) {
   return Changed;
 }
 
-class LocalCsePass final : public Pass {
-public:
-  explicit LocalCsePass(const target::Target &T) : T(T) {}
-  const char *name() const override { return "common subexpression elim"; }
-  PassResult run(Function &F, AnalysisManager &AM) override {
-    PassResult R;
-    R.Changed = runLocalCse(F, T, AM);
-    // Constant propagation folds conditional branches into jumps (or
-    // deletes them), changing edges, so a change preserves no shape or
-    // dataflow result. The shortest-path matrix stays marked preserved:
-    // it is fingerprint-revalidated on every reuse.
-    R.Preserved =
-        PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths);
-    return R;
-  }
-
-private:
-  const target::Target &T;
-};
-
 } // namespace
 
-bool opt::runLocalCse(Function &F, const target::Target &T) {
-  return CsePass(F, T).run();
-}
-
-bool opt::runLocalCse(Function &F, const target::Target &T,
-                      AnalysisManager &AM) {
+PassResult opt::runLocalCse(Function &F, const target::Target &T,
+                            AnalysisManager &AM) {
   // The FlatCfg reference stays valid through run(): CSE edits in place
   // and never queries the manager again.
-  return CsePass(F, T, &AM.flatCfg()).run();
-}
-
-std::unique_ptr<Pass> opt::createLocalCsePass(const target::Target &T) {
-  return std::make_unique<LocalCsePass>(T);
+  const bool Changed = CsePass(F, T, AM.flatCfg()).run();
+  // Constant propagation folds conditional branches into jumps (or
+  // deletes them), changing edges, so a change preserves no shape or
+  // dataflow result. The shortest-path matrix stays marked preserved: it
+  // is fingerprint-revalidated on every reuse.
+  return {Changed,
+          PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths)};
 }

@@ -15,8 +15,10 @@ using namespace coderep::cfg;
 using namespace coderep::opt;
 using namespace coderep::rtl;
 
-/// The pass body over a prebuilt liveness result.
-static bool eliminateDeadVars(Function &F, const Liveness &LV) {
+PassResult opt::runDeadVariableElim(Function &F, AnalysisManager &AM) {
+  // Deletions only remove uses, so the liveness computed up front stays a
+  // sound over-approximation for the whole walk.
+  const Liveness &LV = AM.liveness();
   const RegUniverse &U = LV.universe();
   bool Changed = false;
   std::vector<int> Used;
@@ -51,35 +53,8 @@ static bool eliminateDeadVars(Function &F, const Liveness &LV) {
         Live.set(U.slot(R));
     }
   }
-  return Changed;
-}
-
-bool opt::runDeadVariableElim(Function &F) {
-  return eliminateDeadVars(F, Liveness(F));
-}
-
-bool opt::runDeadVariableElim(Function &F, AnalysisManager &AM) {
-  return eliminateDeadVars(F, AM.liveness());
-}
-
-namespace {
-
-class DeadVariableElimPass final : public Pass {
-public:
-  const char *name() const override { return "dead variable elimination"; }
-  PassResult run(Function &F, AnalysisManager &AM) override {
-    PassResult R;
-    R.Changed = runDeadVariableElim(F, AM);
-    // Deletes side-effect-free register assignments only - never a
-    // transfer, a block, or an edge - so every shape analysis stays
-    // valid; register uses changed, so liveness does not.
-    R.Preserved = PreservedAnalyses::cfgShape();
-    return R;
-  }
-};
-
-} // namespace
-
-std::unique_ptr<Pass> opt::createDeadVariableElimPass() {
-  return std::make_unique<DeadVariableElimPass>();
+  // Deletes side-effect-free register assignments only - never a
+  // transfer, a block, or an edge - so every shape analysis stays valid;
+  // register uses changed, so liveness does not.
+  return {Changed, PreservedAnalyses::cfgShape()};
 }

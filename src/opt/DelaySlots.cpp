@@ -56,7 +56,7 @@ static bool independent(const Insn &Candidate, const InsnSeq &Insns,
   return true;
 }
 
-bool opt::runDelaySlotFilling(Function &F, int *NopsOut) {
+PassResult opt::runDelaySlotFilling(Function &F, int *NopsOut) {
   bool Changed = false;
   int Nops = 0;
   for (int B = 0; B < F.size(); ++B) {
@@ -87,29 +87,6 @@ bool opt::runDelaySlotFilling(Function &F, int *NopsOut) {
   }
   if (NopsOut)
     *NopsOut = Nops;
-  return Changed;
-}
-
-namespace {
-
-class DelaySlotFillingPass final : public Pass {
-public:
-  explicit DelaySlotFillingPass(int *NopsOut) : NopsOut(NopsOut) {}
-  const char *name() const override { return "delay slot filling"; }
-  PassResult run(Function &F, AnalysisManager &) override {
-    PassResult R;
-    R.Changed = runDelaySlotFilling(F, NopsOut);
-    // Slots are carved out of their own blocks; successors are unchanged.
-    R.Preserved = PreservedAnalyses::cfgShape();
-    return R;
-  }
-
-private:
-  int *NopsOut;
-};
-
-} // namespace
-
-std::unique_ptr<Pass> opt::createDelaySlotFillingPass(int *NopsOut) {
-  return std::make_unique<DelaySlotFillingPass>(NopsOut);
+  // Slots are carved out of their own blocks; successors are unchanged.
+  return {Changed, PreservedAnalyses::cfgShape()};
 }

@@ -19,7 +19,7 @@
 // suite configs (e.g. sieve/m68: a different surviving induction
 // variable). The passes improve toward a joint fixpoint but are not
 // confluent, so byte-identity demands order preservation. The sweep is
-// therefore one pass class applied at the two points of the round where
+// therefore one pass function applied at the two points of the round where
 // its sub-passes already sit: the head segment (CSE + dead variables) in
 // the LocalCse slot and the tail segment (branch chaining + constant
 // folding) in the BranchChain slot. Within a segment the sub-passes are
@@ -38,64 +38,30 @@ using namespace coderep;
 using namespace coderep::cfg;
 using namespace coderep::opt;
 
-bool opt::runFusedLocalSweep(Function &F, const target::Target &T,
-                             AnalysisManager &AM, FusedSegment Segment) {
+PassResult opt::runFusedLocalSweep(Function &F, const target::Target &T,
+                                   AnalysisManager &AM, FusedSegment Segment) {
+  // Each sub-pass is committed the way the pipeline commits a pass: epoch
+  // before, body, and on a change the preserved set the sub-pass itself
+  // returned. The analysis cache therefore moves through the same states
+  // as when the four passes are scheduled one by one.
   bool Changed = false;
-  // Each sub-step replays its standalone wrapper's commit protocol: epoch
-  // before, body, and on a change exactly the preserved-set that pass's
-  // Pass::run declares (with the structural argument documented there),
-  // so the analysis cache evolves through the same states as under the
-  // unfused oracle.
-  const PreservedAnalyses NoneButSp =
-      PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths);
-  auto step = [&](bool StepChanged, const PreservedAnalyses &PA,
-                  uint64_t Before) {
-    if (StepChanged) {
-      AM.commit(Before, PA);
+  auto step = [&](auto Pass, auto &&...Args) {
+    const uint64_t Before = F.analysisEpoch();
+    const PassResult R = Pass(F, Args...);
+    if (R.Changed) {
+      AM.commit(Before, R.Preserved);
       Changed = true;
     }
   };
-
   if (Segment == FusedSegment::CseDeadVars) {
-    uint64_t E = F.analysisEpoch();
-    step(runLocalCse(F, T, AM), NoneButSp, E);
-    E = F.analysisEpoch();
-    step(runDeadVariableElim(F, AM), PreservedAnalyses::cfgShape(), E);
+    step(runLocalCse, T, AM);
+    step(runDeadVariableElim, AM);
   } else {
-    uint64_t E = F.analysisEpoch();
-    step(runBranchChaining(F), NoneButSp, E);
-    E = F.analysisEpoch();
-    step(runConstantFolding(F), NoneButSp, E);
+    step(runBranchChaining);
+    step(runConstantFolding);
   }
-  return Changed;
-}
-
-namespace {
-
-class FusedLocalSweepPass final : public Pass {
-public:
-  FusedLocalSweepPass(const target::Target &T, FusedSegment Segment)
-      : T(T), Segment(Segment) {}
-  const char *name() const override { return "fused local sweep"; }
-  PassResult run(Function &F, AnalysisManager &AM) override {
-    PassResult R;
-    R.Changed = runFusedLocalSweep(F, T, AM, Segment);
-    // Every invalidation was already committed per sub-step above, each
-    // with its own preserved-set; reporting all() makes the pipeline's
-    // outer commit a restamp-only no-op instead of a second (coarser)
-    // invalidation of entries the sub-steps deliberately kept.
-    R.Preserved = PreservedAnalyses::all();
-    return R;
-  }
-
-private:
-  const target::Target &T;
-  FusedSegment Segment;
-};
-
-} // namespace
-
-std::unique_ptr<Pass> opt::createFusedLocalSweepPass(const target::Target &T,
-                                                     FusedSegment Segment) {
-  return std::make_unique<FusedLocalSweepPass>(T, Segment);
+  // Every invalidation was already committed per sub-pass above; all()
+  // makes the pipeline's outer commit a restamp-only no-op instead of a
+  // second, coarser invalidation of entries the sub-passes kept.
+  return {Changed, PreservedAnalyses::all()};
 }

@@ -283,39 +283,11 @@ bool Combiner::tryCombineAt(BasicBlock &Block, int PI, const BitVec &LiveOut,
 
 } // namespace
 
-bool opt::runInstructionSelection(Function &F, const target::Target &T) {
-  Liveness LV(F);
-  return Combiner(F, T, LV).run();
-}
-
-bool opt::runInstructionSelection(Function &F, const target::Target &T,
-                                  AnalysisManager &AM) {
-  return Combiner(F, T, AM.liveness()).run();
-}
-
-namespace {
-
-class InstructionSelectionPass final : public Pass {
-public:
-  explicit InstructionSelectionPass(const target::Target &T) : T(T) {}
-  const char *name() const override { return "instruction selection"; }
-  PassResult run(Function &F, AnalysisManager &AM) override {
-    PassResult R;
-    R.Changed = runInstructionSelection(F, T, AM);
-    // Combining rewrites and erases RTLs inside blocks; no terminator
-    // target or block is touched, so the flow graph and its derived
-    // analyses survive. Liveness is dropped: combined registers die.
-    R.Preserved = PreservedAnalyses::cfgShape();
-    return R;
-  }
-
-private:
-  const target::Target &T;
-};
-
-} // namespace
-
-std::unique_ptr<Pass>
-opt::createInstructionSelectionPass(const target::Target &T) {
-  return std::make_unique<InstructionSelectionPass>(T);
+PassResult opt::runInstructionSelection(Function &F, const target::Target &T,
+                                        AnalysisManager &AM) {
+  const bool Changed = Combiner(F, T, AM.liveness()).run();
+  // Combining rewrites and erases RTLs inside blocks; no terminator target
+  // or block is touched, so the flow graph and its derived analyses
+  // survive. Liveness is dropped: combined registers die.
+  return {Changed, PreservedAnalyses::cfgShape()};
 }

@@ -9,15 +9,7 @@ using namespace coderep::cfg;
 using namespace coderep::opt;
 using namespace coderep::rtl;
 
-Liveness::Liveness(const Function &F) : Universe(F) {
-  compute(F, cfg::FlatCfg(F));
-}
-
 Liveness::Liveness(const Function &F, const cfg::FlatCfg &Flat) : Universe(F) {
-  compute(F, Flat);
-}
-
-void Liveness::compute(const Function &F, const cfg::FlatCfg &Flat) {
   int N = F.size();
   LiveIn.assign(N, BitVec(Universe.size()));
   LiveOut.assign(N, BitVec(Universe.size()));

@@ -55,11 +55,9 @@ private:
 /// Per-block live-in/live-out register sets.
 class Liveness {
 public:
-  explicit Liveness(const cfg::Function &F);
-
-  /// As above, but reuses a prebuilt CSR snapshot of \p F's flow graph
-  /// (opt::AnalysisManager shares one FlatCfg build across analyses).
-  /// \p Flat must describe \p F's current state.
+  /// Solves the equations over \p Flat, a CSR snapshot of \p F's current
+  /// flow graph (opt::AnalysisManager shares one FlatCfg build across
+  /// analyses).
   Liveness(const cfg::Function &F, const cfg::FlatCfg &Flat);
 
   const RegUniverse &universe() const { return Universe; }
@@ -67,8 +65,6 @@ public:
   const BitVec &liveOut(int Block) const { return LiveOut[Block]; }
 
 private:
-  void compute(const cfg::Function &F, const cfg::FlatCfg &Flat);
-
   RegUniverse Universe;
   std::vector<BitVec> LiveIn;
   std::vector<BitVec> LiveOut;

@@ -123,46 +123,6 @@ const TelemetryKeys &telemetryKeys() {
   return K;
 }
 
-/// Runs one pass invocation under a ScopedTimer that charges the elapsed
-/// microseconds to the phase's PhaseMicros slot and, when a trace sink is
-/// attached, emits a span event named after the phase. With neither stats
-/// nor sink the timer does no work (not even a clock read).
-///
-/// \p PassUs, when given (requires Stats), additionally records each
-/// invocation's duration into a per-phase latency histogram. The array is
-/// function-local - workers never share one - and optimizeFunction folds
-/// it into the sink's registry once at the end, so the hot path stays
-/// lock-free and the merged distribution is deterministic (histogram
-/// merging is commutative).
-class PassRunner {
-public:
-  PassRunner(PipelineStats *Stats, obs::TraceSink *Sink,
-             obs::Histogram *PassUs = nullptr)
-      : Stats(Stats), Sink(Sink), PassUs(PassUs) {}
-
-  template <typename Fn> bool operator()(Phase P, Fn &&Pass) {
-    int64_t *Accum = Stats ? &Stats->PhaseMicros[static_cast<int>(P)] : nullptr;
-    const int64_t Before = Accum ? *Accum : 0;
-    bool Changed;
-    {
-      // The name string is only materialized when a span will actually be
-      // recorded; the muted/stats-only path keeps the clock and nothing
-      // else (some phase names exceed SSO and would heap-allocate).
-      obs::ScopedTimer Span(
-          Sink, Sink ? std::string(phaseName(P)) : std::string(), Accum);
-      Changed = Pass();
-    }
-    if (PassUs && Accum)
-      PassUs[static_cast<int>(P)].record(*Accum - Before);
-    return Changed;
-  }
-
-private:
-  PipelineStats *Stats;
-  obs::TraceSink *Sink;
-  obs::Histogram *PassUs;
-};
-
 /// The passes inside the Figure-3 fixpoint loop, in the loop's order.
 enum FixpointPass {
   FpLocalCse,
@@ -230,28 +190,39 @@ constexpr uint16_t Invalidates[NumFixpointPasses] = {
 /// loop results with each other and with the optimizer's own passes. The
 /// reference pipeline withholds the shortest-path cache, so JUMPS builds a
 /// fresh step-1 matrix every round.
-static bool runReplication(Function &F, const PipelineOptions &Options,
-                           PipelineStats *Stats, AnalysisManager &AM) {
-  replicate::ReplicationStats *S =
-      Stats ? &Stats->Replication : nullptr;
+static PassResult runReplication(Function &F, const PipelineOptions &Options,
+                                 replicate::ReplicationStats &Stats,
+                                 AnalysisManager &AM) {
+  // Replication splices in copied blocks and retargets edges, so a change
+  // preserves no shape or dataflow result. The shortest-path matrix stays
+  // marked preserved: it is fingerprint-revalidated on every reuse.
+  const PreservedAnalyses Preserved =
+      PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths);
   switch (Options.Level) {
   case OptLevel::Simple:
-    return false;
+    return {};
   case OptLevel::Loops:
-    return replicate::runLoops(F, S, Options.Replication.Trace,
-                               &AM.shapeCache(),
-                               Options.Replication.Validator);
+    return {replicate::runLoops(F, &Stats, Options.Replication.Trace,
+                                &AM.shapeCache(),
+                                Options.Replication.Validator),
+            Preserved};
   case OptLevel::Jumps:
-    return replicate::runJumps(
-        F, Options.Replication, S,
-        Options.Reference ? nullptr : &AM.shortestPaths(), &AM.shapeCache());
+    return {replicate::runJumps(F, Options.Replication, &Stats,
+                                Options.Reference ? nullptr
+                                                  : &AM.shortestPaths(),
+                                &AM.shapeCache()),
+            Preserved};
   }
   CODEREP_UNREACHABLE("bad optimization level");
 }
 
-void opt::optimizeFunction(Function &F, const target::Target &T,
-                           const PipelineOptions &OrigOptions,
-                           PipelineStats *Stats, obs::JournalRecord *JR) {
+/// Optimizes one function in place (optimizeProgram's per-function step).
+/// \p F must already be legal for \p T. \p Stats is this function's own
+/// and starts zeroed, so every journal and metric value below is a plain
+/// read of it. \p JR, when given, receives the function's journal record.
+static void optimizeFunction(Function &F, const target::Target &T,
+                             const PipelineOptions &OrigOptions,
+                             PipelineStats &Stats, obs::JournalRecord *JR) {
   F.verify();
 
   // Pin the replication growth budget to the pre-optimization size so the
@@ -270,30 +241,6 @@ void opt::optimizeFunction(Function &F, const target::Target &T,
   obs::TraceSink *Sink = Options.Trace.Sink;
   obs::TraceSink *EvSink = Options.Trace.eventsActive() ? Sink : nullptr;
 
-  // Journal: fill the caller's record slot, or a local one that gets
-  // appended directly when nobody else will (the standalone-call case;
-  // optimizeProgram always passes a slot so it can append in function
-  // order).
-  obs::JournalRecord LocalJR;
-  const bool AppendJournalSelf = !JR && Options.Trace.SessionJournal;
-  if (AppendJournalSelf)
-    JR = &LocalJR;
-
-  // The per-function metrics below are deltas over the stats counters; when
-  // the caller wants tracing or a journal but no stats, accumulate into a
-  // local copy.
-  PipelineStats LocalStats;
-  if ((Sink || JR) && !Stats)
-    Stats = &LocalStats;
-  const replicate::ReplicationStats ReplBefore =
-      Stats ? Stats->Replication : replicate::ReplicationStats();
-  const int64_t PassesRunBefore = Stats ? Stats->FixpointPassesRun : 0;
-  const int64_t PassesSkippedBefore = Stats ? Stats->FixpointPassesSkipped : 0;
-  const int QuiescentBefore = Stats ? Stats->QuiescentRounds : 0;
-  int64_t PhaseBefore[NumPhases] = {};
-  if (JR)
-    for (int I = 0; I < NumPhases; ++I)
-      PhaseBefore[I] = Stats->PhaseMicros[I];
   std::chrono::steady_clock::time_point FnStart;
   if (Sink || JR)
     FnStart = std::chrono::steady_clock::now();
@@ -320,99 +267,79 @@ void opt::optimizeFunction(Function &F, const target::Target &T,
   // revalidate and reuse it).
   AnalysisManager AM(F, /*CacheEnabled=*/!Options.Reference, EvSink);
 
-  // The pass instances (stateless apart from configuration).
-  std::unique_ptr<Pass> BranchChain = createBranchChainingPass();
-  std::unique_ptr<Pass> Unreachable = createUnreachableElimPass();
-  std::unique_ptr<Pass> Reorder = createBlockReorderPass();
-  std::unique_ptr<Pass> MergeFall = createMergeFallthroughsPass();
-  std::unique_ptr<Pass> InsnSel = createInstructionSelectionPass(T);
-  std::unique_ptr<Pass> RegAssign = createRegisterAssignmentPass();
-  std::unique_ptr<Pass> Cse = createLocalCsePass(T);
-  std::unique_ptr<Pass> DeadVars = createDeadVariableElimPass();
-  std::unique_ptr<Pass> Motion = createCodeMotionPass();
-  std::unique_ptr<Pass> Strength = createStrengthReductionPass();
-  std::unique_ptr<Pass> Fold = createConstantFoldingPass();
-  std::unique_ptr<Pass> FusedHead =
-      createFusedLocalSweepPass(T, FusedSegment::CseDeadVars);
-  std::unique_ptr<Pass> FusedTail =
-      createFusedLocalSweepPass(T, FusedSegment::BranchChainConstFold);
-  std::unique_ptr<Pass> RegAlloc = createRegisterAllocationPass(T);
-
-  // Per-phase pass-latency histograms, function-local (see PassRunner);
-  // folded into the sink's registry at the end of this function.
+  // Per-phase pass-latency histograms. They are function-local - workers
+  // never share one - and folded into the sink's registry once at the
+  // end, so the hot path stays lock-free and the merged distribution is
+  // deterministic (histogram merging is commutative).
   obs::Histogram PassHist[NumPhases];
-  PassRunner run(Stats, EvSink, Sink ? PassHist : nullptr);
+
+  // Every pass invocation, replication included, goes through here. A
+  // ScopedTimer charges the elapsed microseconds to the phase's
+  // PhaseMicros slot and, with an event sink, emits a span named after the
+  // phase. Inside it runs the commit protocol: record the epoch, run the
+  // pass, on a change let the manager keep exactly the analyses the pass
+  // vouched for, and report the invocation to the verifier.
+  auto runPass = [&](Phase Ph, auto Pass, auto &&...Args) {
+    int64_t &Micros = Stats.PhaseMicros[static_cast<int>(Ph)];
+    const int64_t MicrosBefore = Micros;
+    PassResult R;
+    {
+      // The name string is only materialized when a span will actually be
+      // recorded (some phase names exceed SSO and would heap-allocate).
+      obs::ScopedTimer Span(
+          EvSink, EvSink ? std::string(phaseName(Ph)) : std::string(),
+          &Micros);
+      const uint64_t Before = F.analysisEpoch();
+      R = Pass(Args...);
+      if (R.Changed)
+        AM.commit(Before, R.Preserved);
+      if (VS)
+        VS->afterPass(Ph, CurRound, F, R.Changed);
+    }
+    if (Sink)
+      PassHist[static_cast<int>(Ph)].record(Micros - MicrosBefore);
+    return R.Changed;
+  };
 
   // The mutation-testing self-check: reverse the first conditional branch
-  // once, immediately after a constant-folding invocation, so the verify
-  // subsystem can prove it detects (and attributes) a real miscompile.
+  // once, right after a constant-folding body, so the verify subsystem can
+  // prove it detects (and attributes) a real miscompile. That body runs in
+  // the constant-folding slot under the reference schedule and at the end
+  // of the fused tail segment otherwise, and both wrap their result here.
   bool MutationDone = false;
-  auto injectMutation = [&]() -> bool {
+  auto thenMutate = [&](PassResult R) {
     if (!Options.MutateForTesting || MutationDone)
-      return false;
+      return R;
     for (int B = 0; B < F.size(); ++B)
       for (auto I : F.block(B)->Insns)
         if (I.Op == rtl::Opcode::CondJump) {
           I.Cond = rtl::negate(I.Cond);
           F.noteRtlEdit();
           MutationDone = true;
-          return true;
+          return PassResult{true, PreservedAnalyses::none()};
         }
-    return false;
-  };
-
-  // The commit protocol: record the epoch, run the pass, and on a change
-  // let the manager keep exactly the analyses the pass vouched for.
-  // \p FoldPoint marks the fused tail segment, whose last sub-pass is the
-  // constant-folding body - the mutation self-check injects there so it
-  // keeps working under either scheduling of the four register passes.
-  auto runPass = [&](Phase Ph, Pass &P, bool FoldPoint = false) {
-    return run(Ph, [&] {
-      const uint64_t Before = F.analysisEpoch();
-      PassResult R = P.run(F, AM);
-      if ((Ph == Phase::ConstantFolding || FoldPoint) && injectMutation()) {
-        R.Changed = true;
-        R.Preserved = PreservedAnalyses::none();
-      }
-      if (R.Changed)
-        AM.commit(Before, R.Preserved);
-      if (VS)
-        VS->afterPass(Ph, CurRound, F, R.Changed);
-      return R.Changed;
-    });
-  };
-
-  auto replicateOnce = [&] {
-    return run(Phase::Replication, [&] {
-      const uint64_t Before = F.analysisEpoch();
-      bool Changed = runReplication(F, Options, Stats, AM);
-      if (Changed)
-        AM.commit(Before, PreservedAnalyses::none().preserve(
-                              AnalysisID::ShortestPaths));
-      if (VS)
-        VS->afterPass(Phase::Replication, CurRound, F, Changed);
-      return Changed;
-    });
+    return R;
   };
 
   // Initial branch optimizations (Figure 3, before the loop).
-  runPass(Phase::BranchChaining, *BranchChain);
-  runPass(Phase::UnreachableElim, *Unreachable);
-  runPass(Phase::BlockReorder, *Reorder);
-  runPass(Phase::MergeFallthroughs, *MergeFall);
+  runPass(Phase::BranchChaining, runBranchChaining, F);
+  runPass(Phase::UnreachableElim, runUnreachableElim, F);
+  runPass(Phase::BlockReorder, runBlockReorder, F);
+  runPass(Phase::MergeFallthroughs, runMergeFallthroughs, F);
 
   // "Code replication is performed at an early stage so that the later
   // optimizations can take advantage of the simplified control flow."
-  replicateOnce();
-  runPass(Phase::UnreachableElim, *Unreachable);
-  runPass(Phase::MergeFallthroughs, *MergeFall);
+  runPass(Phase::Replication, runReplication, F, Options, Stats.Replication,
+          AM);
+  runPass(Phase::UnreachableElim, runUnreachableElim, F);
+  runPass(Phase::MergeFallthroughs, runMergeFallthroughs, F);
 
-  runPass(Phase::InstructionSelection, *InsnSel);
+  runPass(Phase::InstructionSelection, runInstructionSelection, F, T, AM);
   // "register assignment; if (change) instruction selection;"
-  if (runPass(Phase::RegisterAssignment, *RegAssign))
-    runPass(Phase::InstructionSelection, *InsnSel);
+  if (runPass(Phase::RegisterAssignment, runRegisterAssignment, F))
+    runPass(Phase::InstructionSelection, runInstructionSelection, F, T, AM);
 
-  // The fixpoint loop of Figure 3. One lambda per slot, in loop order, so
+  // The fixpoint loop of Figure 3. One case per slot, in loop order, so
   // the scheduled and reference drivers below execute identical bodies.
   // Outside the reference pipeline, the FpLocalCse slot runs the fused
   // head segment (CSE + dead variables), the FpBranchChain slot runs the
@@ -430,28 +357,34 @@ void opt::optimizeFunction(Function &F, const target::Target &T,
   auto runFixpointPass = [&](int P) -> bool {
     switch (P) {
     case FpLocalCse:
-      return Reference ? runPass(Phase::LocalCse, *Cse)
-                       : runPass(Phase::FusedLocalSweep, *FusedHead);
+      return Reference ? runPass(Phase::LocalCse, runLocalCse, F, T, AM)
+                       : runPass(Phase::FusedLocalSweep, runFusedLocalSweep, F,
+                                 T, AM, FusedSegment::CseDeadVars);
     case FpDeadVars:
-      return runPass(Phase::DeadVariableElim, *DeadVars);
+      return runPass(Phase::DeadVariableElim, runDeadVariableElim, F, AM);
     case FpCodeMotion:
-      return runPass(Phase::CodeMotion, *Motion);
+      return runPass(Phase::CodeMotion, runCodeMotion, F, AM);
     case FpStrengthReduce:
-      return runPass(Phase::StrengthReduction, *Strength);
+      return runPass(Phase::StrengthReduction, runStrengthReduction, F, AM);
     case FpInsnSelect:
-      return runPass(Phase::InstructionSelection, *InsnSel);
+      return runPass(Phase::InstructionSelection, runInstructionSelection, F,
+                     T, AM);
     case FpBranchChain:
-      return Reference ? runPass(Phase::BranchChaining, *BranchChain)
-                       : runPass(Phase::FusedLocalSweep, *FusedTail,
-                                 /*FoldPoint=*/true);
+      return Reference ? runPass(Phase::BranchChaining, runBranchChaining, F)
+                       : runPass(Phase::FusedLocalSweep, [&] {
+                           return thenMutate(runFusedLocalSweep(
+                               F, T, AM, FusedSegment::BranchChainConstFold));
+                         });
     case FpConstFold:
-      return runPass(Phase::ConstantFolding, *Fold);
+      return runPass(Phase::ConstantFolding,
+                     [&] { return thenMutate(runConstantFolding(F)); });
     case FpReplicate:
-      return replicateOnce();
+      return runPass(Phase::Replication, runReplication, F, Options,
+                     Stats.Replication, AM);
     case FpUnreachable:
-      return runPass(Phase::UnreachableElim, *Unreachable);
+      return runPass(Phase::UnreachableElim, runUnreachableElim, F);
     case FpMergeFall:
-      return runPass(Phase::MergeFallthroughs, *MergeFall);
+      return runPass(Phase::MergeFallthroughs, runMergeFallthroughs, F);
     }
     CODEREP_UNREACHABLE("bad fixpoint pass");
   };
@@ -461,9 +394,8 @@ void opt::optimizeFunction(Function &F, const target::Target &T,
   // PhaseMicros slots accrue between here and loop exit happened inside a
   // fixpoint round.
   int64_t LoopBase[NumPhases];
-  if (Stats)
-    for (int I = 0; I < NumPhases; ++I)
-      LoopBase[I] = Stats->PhaseMicros[I];
+  for (int I = 0; I < NumPhases; ++I)
+    LoopBase[I] = Stats.PhaseMicros[I];
   // The reference pipeline is the paper-literal loop: rerun the whole
   // battery while anything changed. Otherwise a pass body runs only while
   // its dirty bit is set, and a change raises the dirty bits of every pass
@@ -493,13 +425,11 @@ void opt::optimizeFunction(Function &F, const target::Target &T,
       if (SubsumedByFused & fpBit(P))
         continue; // body runs inside the fused slot; not a skip
       if (!Reference && !(Dirty & fpBit(P))) {
-        if (Stats)
-          ++Stats->FixpointPassesSkipped;
+        ++Stats.FixpointPassesSkipped;
         continue;
       }
       Dirty = static_cast<uint16_t>(Dirty & ~fpBit(P));
-      if (Stats)
-        ++Stats->FixpointPassesRun;
+      ++Stats.FixpointPassesRun;
       if (runFixpointPass(P)) {
         Changed = true;
         Dirty |= static_cast<uint16_t>(Invalidates[P] & ~SubsumedByFused);
@@ -512,37 +442,29 @@ void opt::optimizeFunction(Function &F, const target::Target &T,
   // An empty dirty set means the scheduled loop converged: its last round
   // ran only the still-dirty passes and all of them came back clean (the
   // cap-exit case leaves bits set and counts no quiescent round).
-  if (!Reference && !Dirty && Stats)
-    ++Stats->QuiescentRounds;
-  if (Stats) {
-    Stats->FixpointIterations += Iter;
-    for (int I = 0; I < NumPhases; ++I)
-      Stats->FixpointPhaseMicros[I] += Stats->PhaseMicros[I] - LoopBase[I];
-  }
+  if (!Reference && !Dirty)
+    ++Stats.QuiescentRounds;
+  Stats.FixpointIterations = Iter;
+  for (int I = 0; I < NumPhases; ++I)
+    Stats.FixpointPhaseMicros[I] = Stats.PhaseMicros[I] - LoopBase[I];
 
   CurRound = -1;
-  runPass(Phase::RegisterAllocation, *RegAlloc);
-  runPass(Phase::BranchChaining, *BranchChain);
-  runPass(Phase::UnreachableElim, *Unreachable);
-  runPass(Phase::BlockReorder, *Reorder);
-  runPass(Phase::MergeFallthroughs, *MergeFall);
+  runPass(Phase::RegisterAllocation, runRegisterAllocation, F, T, AM);
+  runPass(Phase::BranchChaining, runBranchChaining, F);
+  runPass(Phase::UnreachableElim, runUnreachableElim, F);
+  runPass(Phase::BlockReorder, runBlockReorder, F);
+  runPass(Phase::MergeFallthroughs, runMergeFallthroughs, F);
 
-  if (T.hasDelaySlots()) {
-    int Nops = 0;
-    std::unique_ptr<Pass> DelaySlots = createDelaySlotFillingPass(&Nops);
-    runPass(Phase::DelaySlotFilling, *DelaySlots);
-    if (Stats)
-      Stats->DelaySlotNops += Nops;
-  }
+  if (T.hasDelaySlots())
+    runPass(Phase::DelaySlotFilling, runDelaySlotFilling, F,
+            &Stats.DelaySlotNops);
   F.verify();
   if (VS)
     VS->endFunction(F);
 
-  if (Stats) {
-    Stats->SpCacheHits += AM.shortestPaths().hits();
-    Stats->SpCacheMisses += AM.shortestPaths().misses();
-    Stats->Analysis += AM.counters();
-  }
+  Stats.SpCacheHits = AM.shortestPaths().hits();
+  Stats.SpCacheMisses = AM.shortestPaths().misses();
+  Stats.Analysis = AM.counters();
 
   int64_t FnUs = 0;
   if (Sink || JR)
@@ -559,6 +481,8 @@ void opt::optimizeFunction(Function &F, const target::Target &T,
         H.merge(K.PassUs[I], PassHist[I]);
   }
 
+  const replicate::ReplicationStats &R = Stats.Replication;
+  const AnalysisCounters &A = Stats.Analysis;
   if (JR) {
     JR->Fn = F.Name;
     JR->Cache = Options.FunctionCache ? "miss" : "off";
@@ -572,72 +496,50 @@ void opt::optimizeFunction(Function &F, const target::Target &T,
     JR->PhaseUs.emplace_back("total", FnUs);
     for (int I = 0; I < NumPhases; ++I)
       JR->PhaseUs.emplace_back(phaseName(static_cast<Phase>(I)),
-                               Stats->PhaseMicros[I] - PhaseBefore[I]);
-    const replicate::ReplicationStats &R = Stats->Replication;
-    const AnalysisCounters A = AM.counters();
-    int64_t AnalysisHits = 0, AnalysisRecomputes = 0, AnalysisInvalidations = 0;
-    for (int I = 0; I < NumAnalysisIDs; ++I) {
-      AnalysisHits += A.Hits[I];
-      AnalysisRecomputes += A.Recomputes[I];
-      AnalysisInvalidations += A.Invalidations[I];
-    }
+                               Stats.PhaseMicros[I]);
     auto C = [&](const char *Name, int64_t Value) {
       JR->Counters.emplace_back(Name, Value);
     };
-    C("repl.jumps_replaced", R.JumpsReplaced - ReplBefore.JumpsReplaced);
-    C("repl.rolled_back_irreducible",
-      R.RolledBackIrreducible - ReplBefore.RolledBackIrreducible);
-    C("repl.skipped_length_cap",
-      R.SkippedLengthCap - ReplBefore.SkippedLengthCap);
-    C("repl.skipped_growth_budget",
-      R.SkippedGrowthBudget - ReplBefore.SkippedGrowthBudget);
-    C("repl.skipped_no_candidate",
-      R.SkippedNoCandidate - ReplBefore.SkippedNoCandidate);
-    C("repl.loops_completed", R.LoopsCompleted - ReplBefore.LoopsCompleted);
-    C("repl.step5_retargets", R.Step5Retargets - ReplBefore.Step5Retargets);
-    C("repl.stub_jumps_added", R.StubJumpsAdded - ReplBefore.StubJumpsAdded);
+    C("repl.jumps_replaced", R.JumpsReplaced);
+    C("repl.rolled_back_irreducible", R.RolledBackIrreducible);
+    C("repl.skipped_length_cap", R.SkippedLengthCap);
+    C("repl.skipped_growth_budget", R.SkippedGrowthBudget);
+    C("repl.skipped_no_candidate", R.SkippedNoCandidate);
+    C("repl.loops_completed", R.LoopsCompleted);
+    C("repl.step5_retargets", R.Step5Retargets);
+    C("repl.stub_jumps_added", R.StubJumpsAdded);
     C("fixpoint.rounds", Iter);
-    C("fixpoint.passes_run", Stats->FixpointPassesRun - PassesRunBefore);
-    C("fixpoint.passes_skipped",
-      Stats->FixpointPassesSkipped - PassesSkippedBefore);
-    C("analysis.hits", AnalysisHits);
-    C("analysis.recomputes", AnalysisRecomputes);
-    C("analysis.invalidations", AnalysisInvalidations);
+    C("fixpoint.passes_run", Stats.FixpointPassesRun);
+    C("fixpoint.passes_skipped", Stats.FixpointPassesSkipped);
+    C("analysis.hits", A.totalHits());
+    C("analysis.recomputes", A.totalRecomputes());
+    C("analysis.invalidations", A.totalInvalidations());
     C("rtls_out", F.rtlCount());
-    if (AppendJournalSelf)
-      Options.Trace.SessionJournal->append(std::move(*JR));
   }
 
   if (Sink) {
-    const replicate::ReplicationStats &R = Stats->Replication;
     const TelemetryKeys &K = telemetryKeys();
     obs::MetricsRegistry &M = Sink->metrics();
     if (EvSink) {
       // Per-function-name breakdown metrics are timeline/debugging data
       // like decision records: they obey the events switch. The muted
       // always-on configuration keeps the aggregates below, and the
-      // journal already carries the same per-function deltas.
-      M.add("fn." + F.Name + ".jumps_replaced",
-            R.JumpsReplaced - ReplBefore.JumpsReplaced);
+      // journal already carries the same per-function values.
+      M.add("fn." + F.Name + ".jumps_replaced", R.JumpsReplaced);
       M.add("fn." + F.Name + ".rollbacks_irreducible",
-            R.RolledBackIrreducible - ReplBefore.RolledBackIrreducible);
+            R.RolledBackIrreducible);
       M.add("fn." + F.Name + ".fixpoint_rounds", Iter);
       M.set("fn." + F.Name + ".rtls_out", F.rtlCount());
-      M.add("fn." + F.Name + ".fixpoint_passes_run",
-            Stats->FixpointPassesRun - PassesRunBefore);
+      M.add("fn." + F.Name + ".fixpoint_passes_run", Stats.FixpointPassesRun);
       M.add("fn." + F.Name + ".fixpoint_passes_skipped",
-            Stats->FixpointPassesSkipped - PassesSkippedBefore);
+            Stats.FixpointPassesSkipped);
     }
-    M.add("pipeline.fixpoint_passes_run",
-          Stats->FixpointPassesRun - PassesRunBefore);
-    M.add("pipeline.fixpoint_passes_skipped",
-          Stats->FixpointPassesSkipped - PassesSkippedBefore);
-    M.add("pipeline.quiescent_rounds",
-          Stats->QuiescentRounds - QuiescentBefore);
+    M.add("pipeline.fixpoint_passes_run", Stats.FixpointPassesRun);
+    M.add("pipeline.fixpoint_passes_skipped", Stats.FixpointPassesSkipped);
+    M.add("pipeline.quiescent_rounds", Stats.QuiescentRounds);
     for (int I = 0; I < NumPhases; ++I)
-      if (Stats->FixpointPhaseMicros[I])
-        M.add(K.FixpointUs[I], Stats->FixpointPhaseMicros[I]);
-    const AnalysisCounters A = AM.counters();
+      if (Stats.FixpointPhaseMicros[I])
+        M.add(K.FixpointUs[I], Stats.FixpointPhaseMicros[I]);
     for (int I = 0; I < NumAnalysisIDs; ++I) {
       M.add(K.AnalysisHits[I], A.Hits[I]);
       M.add(K.AnalysisRecomputes[I], A.Recomputes[I]);
@@ -665,7 +567,7 @@ void opt::optimizeProgram(Program &P, const target::Target &T,
   auto optimizeOne = [&](size_t I, Function &F, PipelineStats &Local) {
     obs::JournalRecord *JR = SessionJournal ? &Records[I] : nullptr;
     if (!Cache) {
-      optimizeFunction(F, T, Options, &Local, JR);
+      optimizeFunction(F, T, Options, Local, JR);
       return;
     }
     const std::string Key = Cache->keyFor(F, T, Options);
@@ -693,7 +595,7 @@ void opt::optimizeProgram(Program &P, const target::Target &T,
       }
       return;
     }
-    optimizeFunction(F, T, Options, &Local, JR);
+    optimizeFunction(F, T, Options, Local, JR);
     ++Local.FunctionCacheMisses;
     Cache->store(Key, F, Local);
     if (Options.Verifier && Options.Verifier->functionVerifiedClean(F.Name))

@@ -55,10 +55,6 @@
 #include <memory>
 #include <string>
 
-namespace coderep::obs {
-struct JournalRecord;
-} // namespace coderep::obs
-
 namespace coderep::opt {
 
 struct PipelineOptions;
@@ -319,30 +315,20 @@ struct PipelineStats {
   /// Element-wise accumulation, used to fold per-function (or per-task)
   /// locals into a program-level aggregate.
   PipelineStats &operator+=(const PipelineStats &Other);
-  void merge(const PipelineStats &Other) { *this += Other; }
 };
 
 /// Number of passes inside the Figure-3 fixpoint loop (the unit of the
 /// FixpointPassesRun/Skipped counters).
 inline constexpr int NumFixpointPasses = 10;
 
-/// Optimizes one function in place. The function must already be legal for
-/// \p T (see Target::legalizeFunction).
-///
-/// When Options.Trace.SessionJournal is set, the per-function journal
-/// record is either written into \p JR (caller appends - what
-/// optimizeProgram does to keep the journal in function order under the
-/// parallel fan-out) or, with \p JR null, appended directly.
-void optimizeFunction(cfg::Function &F, const target::Target &T,
-                      const PipelineOptions &Options,
-                      PipelineStats *Stats = nullptr,
-                      obs::JournalRecord *JR = nullptr);
-
-/// Optimizes every function of \p P. With Options.Jobs != 1 the functions
+/// Optimizes every function of \p P, which must already be legal for \p T
+/// (see Target::legalizeFunction). With Options.Jobs != 1 the functions
 /// are fanned out over a thread pool (each gets private stats, merged back
 /// in function order); with Options.FunctionCache set, previously optimized
 /// identical functions are served from the cache. Output is byte-identical
-/// to the serial, uncached pipeline in every configuration.
+/// to the serial, uncached pipeline in every configuration. With
+/// Options.Trace.SessionJournal set, one record per function is appended
+/// in function order.
 void optimizeProgram(cfg::Program &P, const target::Target &T,
                      const PipelineOptions &Options,
                      PipelineStats *Stats = nullptr);

@@ -129,20 +129,16 @@ void patchFrameSize(Function &F) {
 
 } // namespace
 
-bool opt::runRegisterAllocation(Function &F, const target::Target &T) {
-  AnalysisManager AM(F, /*CacheEnabled=*/false);
-  return runRegisterAllocation(F, T, AM);
-}
-
-bool opt::runRegisterAllocation(Function &F, const target::Target &T,
-                                AnalysisManager &AM) {
+PassResult opt::runRegisterAllocation(Function &F, const target::Target &T,
+                                      AnalysisManager &AM) {
   int K = T.numAllocatableRegs();
   bool Changed = false;
 
-  for (int Attempt = 0; Attempt < 64; ++Attempt) {
+  for (int Attempt = 0;; ++Attempt) {
+    CODEREP_CHECK(Attempt < 64, "register allocation failed to converge");
     std::map<int, Node> Graph = buildInterference(F, AM.liveness());
     if (Graph.empty())
-      return Changed;
+      break;
 
     // Simplify: push nodes with degree < K; if stuck, pick a spill
     // candidate optimistically (Briggs) and push it anyway.
@@ -219,7 +215,8 @@ bool opt::runRegisterAllocation(Function &F, const target::Target &T,
           ++I;
         }
       }
-      return true;
+      Changed = true;
+      break;
     }
 
     for (int R : Spilled) {
@@ -232,31 +229,8 @@ bool opt::runRegisterAllocation(Function &F, const target::Target &T,
     AM.noteEdit(PreservedAnalyses::cfgShape());
     Changed = true;
   }
-  CODEREP_UNREACHABLE("register allocation failed to converge");
-}
-
-namespace {
-
-class RegisterAllocationPass final : public Pass {
-public:
-  explicit RegisterAllocationPass(const target::Target &T) : T(T) {}
-  const char *name() const override { return "register allocation"; }
-  PassResult run(Function &F, AnalysisManager &AM) override {
-    PassResult R;
-    R.Changed = runRegisterAllocation(F, T, AM);
-    // Coloring renames registers and deletes self-moves in place; spill
-    // bursts already committed their effect above.
-    R.Preserved = PreservedAnalyses::cfgShape();
-    return R;
-  }
-
-private:
-  const target::Target &T;
-};
-
-} // namespace
-
-std::unique_ptr<Pass>
-opt::createRegisterAllocationPass(const target::Target &T) {
-  return std::make_unique<RegisterAllocationPass>(T);
+  // Coloring renames registers and deletes self-moves in place, and spill
+  // bursts already committed their effect above: no transfer or block is
+  // touched.
+  return {Changed, PreservedAnalyses::cfgShape()};
 }

@@ -18,9 +18,9 @@ using namespace coderep::cfg;
 using namespace coderep::opt;
 using namespace coderep::rtl;
 
-bool opt::runRegisterAssignment(Function &F) {
+PassResult opt::runRegisterAssignment(Function &F) {
   if (F.PromotableLocals.empty())
-    return false;
+    return {};
 
   std::map<int, int> SlotToReg;
   for (int Off : F.PromotableLocals)
@@ -65,26 +65,7 @@ bool opt::runRegisterAssignment(Function &F) {
   }
   // Promotion is one-shot; forget the slots so reruns are no-ops.
   F.PromotableLocals.clear();
-  return Changed;
-}
-
-namespace {
-
-class RegisterAssignmentPass final : public Pass {
-public:
-  const char *name() const override { return "register assignment"; }
-  PassResult run(Function &F, AnalysisManager &) override {
-    PassResult R;
-    R.Changed = runRegisterAssignment(F);
-    // Promotion rewrites operands and inserts entry loads inside existing
-    // blocks; no transfer or block is touched.
-    R.Preserved = PreservedAnalyses::cfgShape();
-    return R;
-  }
-};
-
-} // namespace
-
-std::unique_ptr<Pass> opt::createRegisterAssignmentPass() {
-  return std::make_unique<RegisterAssignmentPass>();
+  // Promotion rewrites operands and inserts entry loads inside existing
+  // blocks; no transfer or block is touched.
+  return {Changed, PreservedAnalyses::cfgShape()};
 }

@@ -153,16 +153,12 @@ static bool reduceLoopOnce(Function &F, AnalysisManager &AM) {
   return false;
 }
 
-bool opt::runStrengthReduction(Function &F) {
-  AnalysisManager AM(F, /*CacheEnabled=*/false);
-  return runStrengthReduction(F, AM);
-}
-
-bool opt::runStrengthReduction(Function &F, AnalysisManager &AM) {
+PassResult opt::runStrengthReduction(Function &F, AnalysisManager &AM) {
   // Every change here rewrites or inserts plain ALU RTLs inside existing
   // blocks - no transfer, block, or edge is touched - so the shape
   // analyses survive each burst and reduceLoopOnce's loop-info query hits
-  // across iterations; liveness is dropped (registers changed).
+  // across iterations; liveness is dropped (registers changed). The same
+  // argument is the pass's claim.
   bool Changed = reduceMulToShift(F);
   if (Changed)
     AM.noteEdit(PreservedAnalyses::cfgShape());
@@ -171,24 +167,5 @@ bool opt::runStrengthReduction(Function &F, AnalysisManager &AM) {
     Changed = true;
     AM.noteEdit(PreservedAnalyses::cfgShape());
   }
-  return Changed;
-}
-
-namespace {
-
-class StrengthReductionPass final : public Pass {
-public:
-  const char *name() const override { return "strength reduction"; }
-  PassResult run(Function &F, AnalysisManager &AM) override {
-    PassResult R;
-    R.Changed = runStrengthReduction(F, AM);
-    R.Preserved = PreservedAnalyses::cfgShape();
-    return R;
-  }
-};
-
-} // namespace
-
-std::unique_ptr<Pass> opt::createStrengthReductionPass() {
-  return std::make_unique<StrengthReductionPass>();
+  return {Changed, PreservedAnalyses::cfgShape()};
 }

@@ -2,6 +2,8 @@
 
 #include "support/Format.h"
 
+#include "support/Check.h"
+
 #include <cstdio>
 
 using namespace coderep;
@@ -13,6 +15,7 @@ std::string coderep::format(const char *Fmt, ...) {
   va_copy(Copy, Args);
   int Needed = std::vsnprintf(nullptr, 0, Fmt, Copy);
   va_end(Copy);
+  CODEREP_CHECK(Needed >= 0, "format: vsnprintf rejected the conversion");
   std::string Result(static_cast<size_t>(Needed), '\0');
   std::vsnprintf(Result.data(), Result.size() + 1, Fmt, Args);
   va_end(Args);

@@ -3,8 +3,9 @@
 // The comparison battery. Each check lowers the current function into a
 // single-function probe image (calls to other measured functions are
 // stubbed by the interpreter) and executes it and the baseline's image on
-// the same derived inputs, all on the session's one machine; the first
-// diverging observable becomes the report.
+// the same derived inputs, all on the session's one machine (a baseline
+// run an earlier check already made is reused); the first diverging
+// observable becomes the report.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +18,9 @@
 #include "support/Format.h"
 #include "support/Rng.h"
 
+#include <algorithm>
 #include <chrono>
+#include <optional>
 
 using namespace coderep;
 using namespace coderep::verify;
@@ -181,7 +184,8 @@ namespace coderep::verify {
 class OracleSession final : public opt::FunctionVerifier::Session {
 public:
   OracleSession(Oracle &O, const cfg::Function &F)
-      : O(O), Baseline(F, O.Globals), BaselineText(cfg::toString(F)) {}
+      : O(O), Baseline(F, O.Globals), BaselineText(cfg::toString(F)),
+        BaselineRuns(static_cast<size_t>(O.Opts.Inputs)) {}
 
   void afterPass(opt::Phase Ph, int Round, const cfg::Function &F,
                  bool Changed) override {
@@ -208,6 +212,10 @@ private:
   Oracle &O;
   ease::Image Baseline;
   std::string BaselineText;
+  /// The baseline's result per input, where an earlier check already ran
+  /// the same image on it (as that check's current side): a deterministic
+  /// run need not be repeated.
+  std::vector<std::optional<ease::RunResult>> BaselineRuns;
   ease::Machine M; ///< runs every probe of this session
 };
 
@@ -229,24 +237,39 @@ void OracleSession::check(const char *Pass, int Round, const cfg::Function &F) {
              : std::string());
 
   ease::Image Current(F, O.Globals);
+  std::vector<std::optional<ease::RunResult>> CurrentRuns(BaselineRuns.size());
   int64_t InputsRun = 0, Inconclusive = 0;
+  uint64_t Longest = 0;
+  auto probe = [&](const ease::Image &Img, const ProbeInput &In,
+                   uint64_t StubSeed) {
+    ease::RunResult Run = runProbe(M, Img, O.Arity, O.Opts, In, StubSeed);
+    if (Run.TrapKind != ease::Trap::StepLimit)
+      Longest = std::max(Longest, Run.Stats.Executed);
+    return Run;
+  };
   for (int I = 0; I < O.Opts.Inputs; ++I) {
     const ProbeInput In = deriveInput(O.Opts, F.Name, I);
     const uint64_t StubSeed = mix(O.Opts.Seed ^ static_cast<uint64_t>(I));
-    const ease::RunResult A =
-        runProbe(M, Baseline, O.Arity, O.Opts, In, StubSeed);
-    const ease::RunResult B =
-        runProbe(M, Current, O.Arity, O.Opts, In, StubSeed);
+    std::optional<ease::RunResult> &A = BaselineRuns[I];
+    if (!A)
+      A = probe(Baseline, In, StubSeed);
     ++InputsRun;
     // Double-clean rule: a trap on either side (including the step limit)
     // makes the input inconclusive - legal code motion may reorder a trap
-    // relative to output, so partial observations are not comparable.
-    if (!A.ok() || !B.ok()) {
+    // relative to output, so partial observations are not comparable. A
+    // trapped baseline settles that without running the current side.
+    if (!A->ok()) {
+      ++Inconclusive;
+      continue;
+    }
+    std::optional<ease::RunResult> &B = CurrentRuns[I];
+    B = probe(Current, In, StubSeed);
+    if (!B->ok()) {
       ++Inconclusive;
       continue;
     }
     VerifyReport R;
-    if (firstDivergence(A, B, R.Divergence, R.Detail)) {
+    if (firstDivergence(*A, *B, R.Divergence, R.Detail)) {
       R.Function = F.Name;
       R.Pass = Pass;
       R.Round = Round;
@@ -256,12 +279,14 @@ void OracleSession::check(const char *Pass, int Round, const cfg::Function &F) {
       break; // first mismatch pins the pass; further inputs add nothing
     }
   }
-  O.tally(1, InputsRun, Inconclusive);
+  O.tally(1, InputsRun, Inconclusive, Longest);
 
   // Validated (or reported): the current state becomes the next baseline,
   // so each report names the single pass that introduced the divergence.
+  // Its runs so far are the next check's baseline runs.
   Baseline = std::move(Current);
   BaselineText = std::move(CurText);
+  BaselineRuns = std::move(CurrentRuns);
 
   if (O.Opts.Sink)
     O.Opts.Sink->histograms().record(
@@ -328,9 +353,11 @@ void Oracle::record(VerifyReport R) {
     Reports.push_back(std::move(R));
 }
 
-void Oracle::tally(int64_t Checks, int64_t Inputs, int64_t Inconclusive) {
+void Oracle::tally(int64_t Checks, int64_t Inputs, int64_t Inconclusive,
+                   uint64_t LongestRun) {
   std::lock_guard<std::mutex> Lock(Mu);
   Counters.Checks += Checks;
   Counters.InputsRun += Inputs;
   Counters.Inconclusive += Inconclusive;
+  Counters.LongestRun = std::max(Counters.LongestRun, LongestRun);
 }

@@ -112,9 +112,11 @@ std::string formatReport(const VerifyReport &R);
 /// The oracle's aggregate counters (exported as verify.* metrics).
 struct OracleCounters {
   int64_t Checks = 0;       ///< executed comparisons
-  int64_t InputsRun = 0;    ///< input vectors executed (x2 runs each)
+  int64_t InputsRun = 0;    ///< input vectors compared (two runs each)
   int64_t Mismatches = 0;   ///< comparisons with a diverging observable
   int64_t Inconclusive = 0; ///< inputs skipped under the double-clean rule
+  /// RTLs executed by the longest run that stayed within the step budget.
+  uint64_t LongestRun = 0;
 };
 
 /// The per-pass execution oracle. Thread-safe: optimizeProgram opens
@@ -146,7 +148,8 @@ private:
   friend class OracleSession;
 
   void record(VerifyReport R);
-  void tally(int64_t Checks, int64_t Inputs, int64_t Inconclusive);
+  void tally(int64_t Checks, int64_t Inputs, int64_t Inconclusive,
+             uint64_t LongestRun);
 
   OracleOptions Opts;
   mutable std::mutex Mu;

@@ -3,12 +3,8 @@
 #include "verify/Reduce.h"
 
 #include "cfg/FunctionPrinter.h"
-#include "driver/Compiler.h"
-#include "ease/Interp.h"
-#include "frontend/CodeGen.h"
-#include "opt/Pipeline.h"
 
-#include <memory>
+#include <algorithm>
 #include <vector>
 
 using namespace coderep;
@@ -17,15 +13,6 @@ using namespace coderep::verify;
 
 namespace {
 
-/// Deep copy (Program has owning pointers, so no copy constructor).
-Program cloneProgram(const Program &P) {
-  Program Out;
-  Out.Globals = P.Globals;
-  for (const auto &F : P.Functions)
-    Out.Functions.push_back(F->clone());
-  return Out;
-}
-
 int blockCount(const Program &P) {
   int N = 0;
   for (const auto &F : P.Functions)
@@ -33,69 +20,32 @@ int blockCount(const Program &P) {
   return N;
 }
 
-struct Harness {
-  const ReduceOptions &O;
-  std::unique_ptr<target::Target> T;
-  opt::PipelineOptions Bad; ///< the miscompiling configuration
+/// The predicate of both stages: does the failing job's fuzz check still
+/// flag the candidate (MiniC source, or a legalized program)?
+struct StillFails {
+  FuzzCheckOptions Check;
 
-  explicit Harness(const ReduceOptions &Opts)
-      : O(Opts), T(target::createTarget(Opts.TK)), Bad(Opts.Pipeline) {
-    Bad.Level = O.Level;
-    // The reducer is itself a verification consumer; a verifier attached
-    // to the miscompiling options would recurse (and its reports would be
-    // noise), so it is stripped.
-    Bad.Verifier = nullptr;
-    Bad.Replication.Validator = nullptr;
+  explicit StillFails(const ReduceOptions &O) : Check(O.Check) {
+    // Hundreds of candidate compiles would swamp a shared trace sink.
+    Check.Trace = obs::TraceConfig();
+    Check.Oracle.Sink = nullptr;
+    Check.MaxSteps = O.MaxSteps;
   }
 
-  ease::RunResult execute(const Program &P) const {
-    ease::RunOptions RO;
-    RO.MaxSteps = O.MaxSteps;
-    return ease::run(P, RO);
+  template <class Candidate> bool operator()(const Candidate &C) const {
+    return fuzzCheck(C, Check).miscompiled();
   }
 
-  /// Observable difference under the double-clean convention: a
-  /// step-limited run on either side is inconclusive, everything else
-  /// (trap kind included - whole programs are compared at fixed inputs,
-  /// unlike the oracle's mid-pipeline fragments) must match exactly.
-  static bool differs(const ease::RunResult &A, const ease::RunResult &B) {
-    if (A.TrapKind == ease::Trap::StepLimit ||
-        B.TrapKind == ease::Trap::StepLimit)
-      return false;
-    return A.TrapKind != B.TrapKind || A.ExitCode != B.ExitCode ||
-           A.Output != B.Output;
-  }
-
-  /// Front end + legalization only: the reference translation.
-  bool reference(const std::string &Src, Program &Out) const {
-    std::string Err;
-    if (!frontend::compileToRtl(Src, Out, Err))
-      return false;
-    for (auto &F : Out.Functions) {
-      T->legalizeFunction(*F);
-      F->verify();
-    }
-    return true;
-  }
-
-  /// The source-level predicate: does \p Src still miscompile?
-  bool misbehaves(const std::string &Src) const {
-    Program Ref;
-    if (!reference(Src, Ref))
-      return false;
-    driver::Compilation C = driver::compile(Src, O.TK, O.Level, &Bad);
-    if (!C.ok())
-      return false;
-    return differs(execute(Ref), execute(*C.Prog));
-  }
-
-  /// The RTL-level predicate: does the legalized program \p Cand still
-  /// miscompile when fed to the optimizer?
-  bool misbehavesRtl(const Program &Cand) const {
-    const ease::RunResult A = execute(Cand);
-    Program OptP = cloneProgram(Cand);
-    opt::optimizeProgram(OptP, *T, Bad, nullptr);
-    return differs(A, execute(OptP));
+  /// Never reduce into a hang. Deleting lines or blocks readily leaves a
+  /// loop without its exit, and the oracle would then run every input of
+  /// every check to its full budget. Once the original has failed, each
+  /// run of a candidate therefore gets twice the RTLs of the original's
+  /// longest finished run (at most \p MaxSteps); the runs that showed the
+  /// failure fit that budget.
+  void budgetFrom(const FuzzVerdict &Original, uint64_t MaxSteps) {
+    const uint64_t Budget = std::min(MaxSteps, 2 * Original.LongestRun);
+    Check.MaxSteps = Budget;
+    Check.Oracle.MaxSteps = std::min(Check.Oracle.MaxSteps, Budget);
   }
 };
 
@@ -130,7 +80,7 @@ std::string joinLines(const std::vector<std::string> &Lines,
 
 /// ddmin over source lines: try dropping chunks of halving size until no
 /// single-line removal survives the predicate.
-std::string ddminLines(const Harness &H, const std::string &Src) {
+std::string ddminLines(const StillFails &Fails, const std::string &Src) {
   std::vector<std::string> Lines = splitLines(Src);
   std::vector<bool> Keep(Lines.size(), true);
   size_t Live = Lines.size();
@@ -149,7 +99,7 @@ std::string ddminLines(const Harness &H, const std::string &Src) {
         break;
       for (size_t I : Idx)
         Keep[I] = false;
-      if (H.misbehaves(joinLines(Lines, Keep))) {
+      if (Fails(joinLines(Lines, Keep))) {
         Any = true;
         Live -= Idx.size();
       } else {
@@ -191,9 +141,9 @@ bool labelUnreferenced(const Function &F, int Idx) {
 /// reference into the old program outlives the mutation -
 /// Function::verify aborts on malformed graphs, so only mutations that
 /// are valid a priori are attempted at all.
-bool applyOneMutation(const Harness &H, Program &P) {
+bool applyOneMutation(const StillFails &Fails, Program &P) {
   auto tryCandidate = [&](Program &&Cand) {
-    if (!H.misbehavesRtl(Cand))
+    if (!Fails(Cand))
       return false;
     P = std::move(Cand);
     return true;
@@ -204,7 +154,7 @@ bool applyOneMutation(const Harness &H, Program &P) {
     if (P.Functions[FI]->Name != "main" &&
         (P.Functions[FI]->size() > 1 ||
          P.Functions[FI]->block(0)->Insns.size() > 1)) {
-      Program Cand = cloneProgram(P);
+      Program Cand = P.clone();
       Function &CF = *Cand.Functions[FI];
       CF.block(0)->Insns.assign(1, rtl::Insn::ret());
       CF.block(0)->DelaySlot.reset();
@@ -224,7 +174,7 @@ bool applyOneMutation(const Harness &H, Program &P) {
       // Empty the body down to the terminator (or entirely, for a
       // fall-through block).
       if (Blk->Insns.size() > (Term ? 1u : 0u)) {
-        Program Cand = cloneProgram(P);
+        Program Cand = P.clone();
         BasicBlock *CB = Cand.Functions[FI]->block(B);
         if (Term)
           CB->Insns.erase(CB->Insns.begin(), CB->Insns.end() - 1);
@@ -238,7 +188,7 @@ bool applyOneMutation(const Harness &H, Program &P) {
 
       // Delete a conditional branch (the block then falls through).
       if (Term && Term->Op == rtl::Opcode::CondJump && B + 1 < NumBlocks) {
-        Program Cand = cloneProgram(P);
+        Program Cand = P.clone();
         Cand.Functions[FI]->block(B)->Insns.pop_back();
         Cand.Functions[FI]->noteRtlEdit();
         if (tryCandidate(std::move(Cand)))
@@ -248,7 +198,7 @@ bool applyOneMutation(const Harness &H, Program &P) {
       // Collapse an indirect jump to its first arm.
       if (Term && Term->Op == rtl::Opcode::SwitchJump &&
           !Term->Table.empty()) {
-        Program Cand = cloneProgram(P);
+        Program Cand = P.clone();
         Cand.Functions[FI]->block(B)->Insns.back() =
             rtl::Insn::jump(Term->Table[0]);
         Cand.Functions[FI]->noteRtlEdit();
@@ -260,7 +210,7 @@ bool applyOneMutation(const Harness &H, Program &P) {
       // fell into it simply fall further).
       if (B + 1 < NumBlocks && NumBlocks > 1 &&
           labelUnreferenced(*P.Functions[FI], B)) {
-        Program Cand = cloneProgram(P);
+        Program Cand = P.clone();
         Cand.Functions[FI]->eraseBlock(B);
         if (tryCandidate(std::move(Cand)))
           return true;
@@ -274,13 +224,15 @@ bool applyOneMutation(const Harness &H, Program &P) {
 
 ReduceResult verify::reduce(const std::string &Source,
                             const ReduceOptions &O) {
-  Harness H(O);
+  StillFails Fails(O);
   ReduceResult R;
   R.Source = Source;
+  std::string Err;
 
-  if (!H.misbehaves(Source)) {
+  const FuzzVerdict Original = fuzzCheck(Source, Fails.Check);
+  if (!Original.miscompiled()) {
     Program Ref;
-    if (H.reference(Source, Ref)) {
+    if (referenceTranslation(Source, O.Check.TK, Ref, Err)) {
       R.RtlDump = toString(Ref);
       R.Blocks = blockCount(Ref);
     }
@@ -288,19 +240,21 @@ ReduceResult verify::reduce(const std::string &Source,
     return R;
   }
   R.Mismatch = true;
+  Fails.budgetFrom(Original, O.MaxSteps);
 
   // Stage 1: line-level ddmin.
-  R.Source = ddminLines(H, Source);
+  R.Source = ddminLines(Fails, Source);
   R.SourceLines = static_cast<int>(splitLines(R.Source).size());
 
   // Stage 2: RTL-level shrinking of the reduced program. Each applied
   // mutation strictly removes structure, so the guard is a backstop, not
   // a working limit.
   Program P;
-  if (!H.reference(R.Source, P)) // cannot happen: ddmin preserved validity
+  // Cannot fail: ddmin only keeps candidates that compiled.
+  if (!referenceTranslation(R.Source, O.Check.TK, P, Err))
     return R;
   const int Guard = O.MaxRounds * 256;
-  for (int Step = 0; Step < Guard && applyOneMutation(H, P); ++Step) {
+  for (int Step = 0; Step < Guard && applyOneMutation(Fails, P); ++Step) {
   }
   for (const auto &F : P.Functions)
     F->verify();

@@ -7,12 +7,13 @@
 ///
 /// \file
 /// Shrinks a miscompiling MiniC program while the miscompile persists.
-/// The interesting-ness predicate compiles the candidate twice - a
-/// reference translation (front end + target legalization, no optimizer)
-/// and the full pipeline under the caller's options - runs both under
-/// ease::Interp, and keeps the candidate when their observables differ.
+/// The interesting-ness predicate is the fuzz check (verify/FuzzCheck.h)
+/// of the failing job - its target, level, input, oracle settings and
+/// mutation flag: a candidate is kept when it still compiles and the
+/// oracle, the bisimulation validator or the whole-program differential
+/// flags it. So a failure only the oracle sees reduces too.
 ///
-/// Two stages:
+/// Two stages, both on that predicate:
 ///  1. ddmin over source lines: chunks of shrinking size are removed while
 ///     the predicate holds (syntactically broken candidates simply fail
 ///     the front end and are rejected by the predicate).
@@ -29,8 +30,7 @@
 #ifndef CODEREP_VERIFY_REDUCE_H
 #define CODEREP_VERIFY_REDUCE_H
 
-#include "opt/Pipeline.h"
-#include "target/Target.h"
+#include "verify/FuzzCheck.h"
 
 #include <cstdint>
 #include <string>
@@ -39,18 +39,14 @@ namespace coderep::verify {
 
 /// Reducer configuration.
 struct ReduceOptions {
-  target::TargetKind TK = target::TargetKind::M68;
-  opt::OptLevel Level = opt::OptLevel::Jumps;
-
-  /// The pipeline configuration that miscompiles (e.g. MutateForTesting,
-  /// or a specific Jobs/replication setting). Level is overridden by
-  /// \c Level above; any Verifier is stripped before use.
-  opt::PipelineOptions Pipeline;
+  /// The failing job. Its trace sink is dropped, and the differential's
+  /// step budget is MaxSteps below.
+  FuzzCheckOptions Check;
 
   /// Greedy RTL-stage sweeps (each sweep retries every mutation site).
   int MaxRounds = 8;
 
-  /// Step budget per interpreter run; step-limited runs make a candidate
+  /// Step budget per differential run; step-limited runs make a candidate
   /// uninteresting rather than interesting (never reduce into a hang).
   uint64_t MaxSteps = 1u << 22;
 };
@@ -67,9 +63,8 @@ struct ReduceResult {
   int Blocks = 0;      ///< basic blocks in the reduced RTL program
 };
 
-/// Reduces \p Source. The input should already be known to miscompile
-/// under \p O (use the oracle or a differential run to establish that);
-/// if it does not, the result has Mismatch == false.
+/// Reduces \p Source. The input should already be known to fail the fuzz
+/// check of \p O; if it does not, the result has Mismatch == false.
 ReduceResult reduce(const std::string &Source, const ReduceOptions &O);
 
 } // namespace coderep::verify

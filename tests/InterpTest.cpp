@@ -348,6 +348,26 @@ TEST(Interp, IntrinsicsRoundTrip) {
   EXPECT_EQ(R.ExitCode, 1);
 }
 
+// %c prints the low byte of its argument, padded to the field width, as C
+// does. A length modifier on it once made glibc read a wide character,
+// refuse every value of 128 and up, and abort the compiler.
+TEST(Interp, PrintfCharIsTheArgumentsLowByte) {
+  const char *Src = R"(
+    int main() {
+      printf("[%c][%3c][%-3c]", 200, 200, 200);
+      printf("[%c][%3c][%-3c]", 65, 65, 321);
+      return 0;
+    }
+  )";
+  Program P;
+  std::string Err;
+  ASSERT_TRUE(frontend::compileToRtl(Src, P, Err)) << Err;
+  RunOptions RO;
+  RunResult R = run(P, RO);
+  ASSERT_TRUE(R.ok()) << R.TrapMessage;
+  EXPECT_EQ(R.Output, "[\xC8][  \xC8][\xC8  ][A][  A][A  ]");
+}
+
 /// Records every fetch address, in order.
 struct FetchRecorder : FetchSink {
   std::vector<uint32_t> Addrs;

@@ -17,10 +17,13 @@ namespace {
 Operand vr(int N) { return Operand::reg(FirstVirtual + N); }
 
 /// A function builder for hand-made CFGs. Allocates the requested number
-/// of vregs so analyses size their universes correctly.
+/// of vregs so analyses size their universes correctly, and owns the
+/// analysis manager the passes query, as the pipeline's per-function one.
 struct Builder {
   std::unique_ptr<Function> F;
-  explicit Builder(int VRegs = 16) : F(std::make_unique<Function>("t")) {
+  AnalysisManager AM;
+  explicit Builder(int VRegs = 16)
+      : F(std::make_unique<Function>("t")), AM(*F) {
     for (int I = 0; I < VRegs; ++I)
       F->freshVReg();
   }
@@ -40,7 +43,7 @@ TEST(BranchChaining, CollapsesJumpToJump) {
   B2->Insns.push_back(Insn::ret());
   B.F->verify();
 
-  EXPECT_TRUE(runBranchChaining(*B.F));
+  EXPECT_TRUE(runBranchChaining(*B.F).Changed);
   EXPECT_EQ(B.F->block(0)->Insns.back().Target, LEnd);
   runUnreachableElim(*B.F);
   EXPECT_EQ(B.F->size(), 2);
@@ -54,7 +57,7 @@ TEST(BranchChaining, RemovesBranchToFallthrough) {
   B0->Insns.push_back(Insn::condJump(CondCode::Eq, LNext));
   BasicBlock *B1 = B.block(LNext);
   B1->Insns.push_back(Insn::ret());
-  EXPECT_TRUE(runBranchChaining(*B.F));
+  EXPECT_TRUE(runBranchChaining(*B.F).Changed);
   EXPECT_FALSE(B.F->block(0)->terminator());
 }
 
@@ -63,7 +66,7 @@ TEST(BranchChaining, LeavesEmptyInfiniteLoopAlone) {
   int L0 = B.F->freshLabel();
   BasicBlock *B0 = B.block(L0);
   B0->Insns.push_back(Insn::jump(L0));
-  EXPECT_FALSE(runBranchChaining(*B.F));
+  EXPECT_FALSE(runBranchChaining(*B.F).Changed);
 }
 
 TEST(BranchChaining, CollapsesBranchOverJump) {
@@ -80,7 +83,7 @@ TEST(BranchChaining, CollapsesBranchOverJump) {
   BasicBlock *B3 = B.block(LY);
   B3->Insns = {Insn::ret()};
   B.F->verify();
-  EXPECT_TRUE(runBranchChaining(*B.F));
+  EXPECT_TRUE(runBranchChaining(*B.F).Changed);
   B.F->verify();
   EXPECT_EQ(B.F->size(), 3);
   auto T = B.F->block(0)->Insns.back();
@@ -107,7 +110,7 @@ TEST(BranchChaining, ChasesOtherPredsThenCollapses) {
   BasicBlock *B3 = B.block(LY);
   B3->Insns = {Insn::ret()};
   B.F->verify();
-  EXPECT_TRUE(runBranchChaining(*B.F));
+  EXPECT_TRUE(runBranchChaining(*B.F).Changed);
   B.F->verify();
   EXPECT_EQ(B.F->size(), 4);
   EXPECT_EQ(B.F->block(0)->Insns.back().Target, LY); // reversed + chased
@@ -126,7 +129,7 @@ TEST(BlockReorder, MakesJumpTargetFallthrough) {
   B2->Insns.push_back(Insn::jump(LA));
   B.F->verify();
 
-  EXPECT_TRUE(runBlockReorder(*B.F));
+  EXPECT_TRUE(runBlockReorder(*B.F).Changed);
   B.F->verify();
   // Both jumps become fall-throughs: 0 -> LB -> LA.
   int Jumps = 0;
@@ -144,7 +147,7 @@ TEST(MergeFallthroughs, MergesSinglePredChain) {
   B1->Insns.push_back(Insn::move(vr(1), Operand::imm(2)));
   BasicBlock *B2 = B.block();
   B2->Insns.push_back(Insn::ret());
-  EXPECT_TRUE(runMergeFallthroughs(*B.F));
+  EXPECT_TRUE(runMergeFallthroughs(*B.F).Changed);
   EXPECT_EQ(B.F->size(), 1);
   EXPECT_EQ(B.F->block(0)->Insns.size(), 3u);
 }
@@ -159,7 +162,7 @@ TEST(ConstantFolding, FoldsArithmeticAndIdentities) {
       Insn::binary(Opcode::Mul, vr(3), vr(9), Operand::imm(0)),
       Insn::ret(),
   };
-  EXPECT_TRUE(runConstantFolding(*B.F));
+  EXPECT_TRUE(runConstantFolding(*B.F).Changed);
   EXPECT_EQ(B0->Insns[0].Op, Opcode::Move);
   EXPECT_EQ(B0->Insns[0].Src1.Disp, 5);
   EXPECT_EQ(B0->Insns[1].Op, Opcode::Move); // v1 = v9
@@ -176,7 +179,7 @@ TEST(ConstantFolding, DoesNotFoldDivisionByZero) {
       Insn::binary(Opcode::Div, vr(0), Operand::imm(1), Operand::imm(0)),
       Insn::ret(),
   };
-  EXPECT_FALSE(runConstantFolding(*B.F));
+  EXPECT_FALSE(runConstantFolding(*B.F).Changed);
   EXPECT_EQ(B0->Insns[0].Op, Opcode::Div);
 }
 
@@ -192,7 +195,7 @@ TEST(ConstantFolding, FoldsConstantConditionalBranchTaken) {
   B1->Insns.push_back(Insn::ret());
   BasicBlock *B2 = B.block(LT);
   B2->Insns.push_back(Insn::ret());
-  EXPECT_TRUE(runConstantFolding(*B.F));
+  EXPECT_TRUE(runConstantFolding(*B.F).Changed);
   EXPECT_EQ(B0->Insns.back().Op, Opcode::Jump); // 3 < 5 always
   EXPECT_EQ(B0->Insns.back().Target, LT);
 }
@@ -209,7 +212,7 @@ TEST(ConstantFolding, FoldsConstantConditionalBranchNotTaken) {
   B1->Insns.push_back(Insn::ret());
   BasicBlock *B2 = B.block(LT);
   B2->Insns.push_back(Insn::ret());
-  EXPECT_TRUE(runConstantFolding(*B.F));
+  EXPECT_TRUE(runConstantFolding(*B.F).Changed);
   EXPECT_FALSE(B0->terminator()); // branch removed, falls through
 }
 
@@ -221,7 +224,7 @@ TEST(ConstantFolding, LeavesStackAdjustmentsAlone) {
                    Operand::imm(0)),
       Insn::ret(),
   };
-  EXPECT_FALSE(runConstantFolding(*B.F));
+  EXPECT_FALSE(runConstantFolding(*B.F).Changed);
   EXPECT_EQ(B0->Insns[0].Op, Opcode::Sub);
 }
 
@@ -240,7 +243,7 @@ TEST_P(TargetedPassTest, CseEliminatesRedundantLoad) {
       Insn::binary(Opcode::Add, vr(2), vr(0), vr(1)),
       Insn::ret(),
   };
-  EXPECT_TRUE(runLocalCse(*B.F, *T));
+  EXPECT_TRUE(runLocalCse(*B.F, *T, B.AM).Changed);
   EXPECT_EQ(B0->Insns[1].Op, Opcode::Move);
   EXPECT_TRUE(B0->Insns[1].Src1.isReg()) << "second load should reuse v0";
 }
@@ -255,7 +258,7 @@ TEST_P(TargetedPassTest, CseStoreToLoadForwarding) {
       Insn::binary(Opcode::Add, vr(2), vr(1), vr(1)),
       Insn::ret(),
   };
-  EXPECT_TRUE(runLocalCse(*B.F, *T));
+  EXPECT_TRUE(runLocalCse(*B.F, *T, B.AM).Changed);
   EXPECT_TRUE(B0->Insns[1].Src1.isRegNo(FirstVirtual + 0));
 }
 
@@ -269,7 +272,7 @@ TEST_P(TargetedPassTest, CseStoreKillsOtherMemory) {
       Insn::binary(Opcode::Add, vr(3), vr(0), vr(2)),
       Insn::ret(),
   };
-  runLocalCse(*B.F, *T);
+  runLocalCse(*B.F, *T, B.AM);
   EXPECT_TRUE(B0->Insns[2].Src1.isMem()) << "load after store must remain";
 }
 
@@ -282,7 +285,7 @@ TEST_P(TargetedPassTest, CsePropagatesConstantsThroughOps) {
       Insn::compare(vr(2), vr(1)),
       Insn::ret(),
   };
-  EXPECT_TRUE(runLocalCse(*B.F, *T));
+  EXPECT_TRUE(runLocalCse(*B.F, *T, B.AM).Changed);
   // The comparison's second operand becomes the immediate -1 (legal as a
   // compare operand on both targets), making v1's definition dead.
   EXPECT_TRUE(B0->Insns[2].Src2.isImm());
@@ -302,7 +305,7 @@ TEST_P(TargetedPassTest, CseExtendedBlockInheritance) {
       Insn::binary(Opcode::Add, vr(2), vr(1), vr(0)),
       Insn::ret(),
   };
-  EXPECT_TRUE(runLocalCse(*B.F, *T));
+  EXPECT_TRUE(runLocalCse(*B.F, *T, B.AM).Changed);
   EXPECT_TRUE(B1->Insns[0].Src1.isReg());
 }
 
@@ -319,7 +322,7 @@ TEST_P(TargetedPassTest, CseFoldsBranchOnPropagatedConstant) {
   B1->Insns.push_back(Insn::ret());
   BasicBlock *B2 = B.block(LT);
   B2->Insns.push_back(Insn::ret());
-  EXPECT_TRUE(runLocalCse(*B.F, *T));
+  EXPECT_TRUE(runLocalCse(*B.F, *T, B.AM).Changed);
   EXPECT_EQ(B0->Insns.back().Op, Opcode::Jump);
 }
 
@@ -333,7 +336,7 @@ TEST_P(TargetedPassTest, DeadVariableElimination) {
       Insn::compare(vr(1), Operand::imm(0)), // dead CC
       Insn::ret(),
   };
-  EXPECT_TRUE(runDeadVariableElim(*B.F));
+  EXPECT_TRUE(runDeadVariableElim(*B.F, B.AM).Changed);
   ASSERT_EQ(B0->Insns.size(), 3u);
   EXPECT_TRUE(B0->Insns[0].Src1.isImm());
   EXPECT_EQ(B0->Insns[0].Src1.Disp, 2);
@@ -347,7 +350,7 @@ TEST_P(TargetedPassTest, DeadVarKeepsStoresAndCalls) {
       Insn::call(IntrinsicGetchar), // result unused but side-effecting
       Insn::ret(),
   };
-  runDeadVariableElim(*B.F);
+  runDeadVariableElim(*B.F, B.AM);
   EXPECT_EQ(B0->Insns.size(), 3u);
 }
 
@@ -367,7 +370,7 @@ TEST_P(TargetedPassTest, CodeMotionHoistsInvariant) {
   Exit->Insns = {Insn::ret()};
   B.F->verify();
 
-  EXPECT_TRUE(runCodeMotion(*B.F));
+  EXPECT_TRUE(runCodeMotion(*B.F, B.AM).Changed);
   B.F->verify();
   // The multiply now sits outside the loop; the loop body no longer
   // contains a Mul.
@@ -390,7 +393,7 @@ TEST_P(TargetedPassTest, CodeMotionLeavesVariantAlone) {
       Insn::condJump(CondCode::Lt, LHead),
   };
   B.block()->Insns = {Insn::ret()};
-  runCodeMotion(*B.F);
+  runCodeMotion(*B.F, B.AM);
   LoopInfo LI(*B.F);
   ASSERT_EQ(LI.loops().size(), 1u);
   bool MulInLoop = false;
@@ -409,7 +412,7 @@ TEST_P(TargetedPassTest, StrengthReductionMulToShift) {
       Insn::binary(Opcode::Mul, vr(2), vr(1), Operand::imm(7)), // not 2^k
       Insn::ret(),
   };
-  EXPECT_TRUE(runStrengthReduction(*B.F));
+  EXPECT_TRUE(runStrengthReduction(*B.F, B.AM).Changed);
   EXPECT_EQ(B0->Insns[0].Op, Opcode::Shl);
   EXPECT_EQ(B0->Insns[0].Src2.Disp, 3);
   EXPECT_EQ(B0->Insns[1].Op, Opcode::Mul);
@@ -440,7 +443,7 @@ TEST_P(TargetedPassTest, RegisterAllocationMapsAllVRegs) {
   B0->Insns.push_back(Insn::ret());
   B.F->verify();
 
-  EXPECT_TRUE(runRegisterAllocation(*B.F, *T));
+  EXPECT_TRUE(runRegisterAllocation(*B.F, *T, B.AM).Changed);
   B.F->verify();
   std::vector<int> Used;
   for (int I = 0; I < B.F->size(); ++I)
@@ -469,13 +472,13 @@ TEST_P(TargetedPassTest, RegisterAssignmentPromotesLocals) {
   };
   B.F->FrameBytes = 4;
   B.F->PromotableLocals = {-4};
-  EXPECT_TRUE(runRegisterAssignment(*B.F));
+  EXPECT_TRUE(runRegisterAssignment(*B.F).Changed);
   for (auto I : B0->Insns) {
     EXPECT_FALSE(I.Dst.isMem() && I.Dst.Base == RegFP);
     EXPECT_FALSE(I.Src1.isMem() && I.Src1.Base == RegFP);
   }
   // Second run is a no-op.
-  EXPECT_FALSE(runRegisterAssignment(*B.F));
+  EXPECT_FALSE(runRegisterAssignment(*B.F).Changed);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothTargets, TargetedPassTest,
@@ -498,7 +501,7 @@ TEST(InstructionSelection, FoldsLoadIntoAluOnCisc) {
       Insn::move(Operand::reg(RegRV), vr(1)),
       Insn::ret(),
   };
-  EXPECT_TRUE(runInstructionSelection(*B.F, *T));
+  EXPECT_TRUE(runInstructionSelection(*B.F, *T, B.AM).Changed);
   // The load folded into the add: one fewer instruction.
   EXPECT_EQ(B0->Insns.size(), 3u);
   EXPECT_TRUE(B0->Insns[0].Src2.isMem());
@@ -515,7 +518,7 @@ TEST(InstructionSelection, DoesNotFoldLoadOnRisc) {
       Insn::move(Operand::reg(RegRV), vr(1)),
       Insn::ret(),
   };
-  runInstructionSelection(*B.F, *T);
+  runInstructionSelection(*B.F, *T, B.AM);
   EXPECT_EQ(B0->Insns.size(), 4u);
   EXPECT_TRUE(B0->Insns[0].Src1.isMem()); // load stays separate
 }
@@ -530,7 +533,7 @@ TEST(InstructionSelection, FormsTwoAddressMemoryOpOnCisc) {
       Insn::move(Slot, vr(0)),
       Insn::ret(),
   };
-  EXPECT_TRUE(runInstructionSelection(*B.F, *T));
+  EXPECT_TRUE(runInstructionSelection(*B.F, *T, B.AM).Changed);
   // "L[fp-4] = L[fp-4] + 1" in one RTL.
   ASSERT_EQ(B0->Insns.size(), 2u);
   EXPECT_EQ(B0->Insns[0].Op, Opcode::Add);
@@ -549,7 +552,7 @@ TEST(InstructionSelection, DoesNotFoldAcrossClobberingStore) {
       Insn::move(Operand::reg(RegRV), vr(1)),
       Insn::ret(),
   };
-  runInstructionSelection(*B.F, *T);
+  runInstructionSelection(*B.F, *T, B.AM);
   // The intervening store may alias: the load must not move past it.
   EXPECT_TRUE(B0->Insns[0].Src1.isMem());
   EXPECT_EQ(B0->Insns.size(), 5u);
@@ -569,7 +572,7 @@ TEST(DelaySlots, FillsFromIndependentInsn) {
   BasicBlock *B2 = B.block(LT);
   B2->Insns.push_back(Insn::ret());
   int Nops = 0;
-  EXPECT_TRUE(runDelaySlotFilling(*B.F, &Nops));
+  EXPECT_TRUE(runDelaySlotFilling(*B.F, &Nops).Changed);
   ASSERT_TRUE(B0->DelaySlot.has_value());
   EXPECT_EQ(B0->DelaySlot->Op, Opcode::Move);
   EXPECT_EQ(B0->Insns.size(), 2u); // the move left the body

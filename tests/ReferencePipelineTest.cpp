@@ -8,6 +8,8 @@
 // levels) and 200 random programs (at JUMPS and at level seed%3) must
 // compile to the same bytes either way, with the same semantic counters,
 // while the counters that measure the avoided work obey exact identities.
+// The default pipeline's own analysis and scheduling counters over the
+// suite are pinned to recorded sums.
 //
 //===----------------------------------------------------------------------===//
 
@@ -220,6 +222,41 @@ TEST(ReferencePipeline, CacheKeyIgnoresReference) {
   EXPECT_GT(Cold.Stats.FunctionCacheMisses, 0);
   EXPECT_EQ(Warm.Stats.FunctionCacheMisses, 0);
   EXPECT_EQ(Warm.Stats.FunctionCacheHits, Cold.Stats.FunctionCacheMisses);
+}
+
+// Byte identity cannot see a pass whose preserved-set claim changed: a
+// smaller claim only makes the analysis cache recompute more, and a
+// scheduler that stops skipping still reaches the same bytes. These sums
+// over the 84 suite configs can.
+TEST(DefaultPipeline, SuiteAnalysisAndScheduleCountersArePinned) {
+  opt::PipelineStats Sum;
+  const opt::PipelineOptions Default; // Jobs = 1, no function cache
+  for (const BenchProgram &BP : suite())
+    for (target::TargetKind TK : AllTargets)
+      for (opt::OptLevel Level : AllLevels)
+        Sum += compileWith(BP.Source, TK, Level, Default).Stats;
+
+  struct Pinned {
+    opt::AnalysisID ID;
+    int64_t Hits, Recomputes, Invalidations;
+  };
+  const Pinned Analyses[] = {
+      {opt::AnalysisID::FlatCfg, 2694, 1515, 506},
+      {opt::AnalysisID::Dominators, 500, 1372, 363},
+      {opt::AnalysisID::Loops, 1349, 1372, 363},
+      {opt::AnalysisID::Liveness, 636, 1076, 1076},
+      {opt::AnalysisID::ShortestPaths, 2, 278, 0},
+  };
+  for (const Pinned &P : Analyses) {
+    const int I = static_cast<int>(P.ID);
+    const char *Name = opt::analysisName(P.ID);
+    EXPECT_EQ(Sum.Analysis.Hits[I], P.Hits) << Name;
+    EXPECT_EQ(Sum.Analysis.Recomputes[I], P.Recomputes) << Name;
+    EXPECT_EQ(Sum.Analysis.Invalidations[I], P.Invalidations) << Name;
+  }
+  EXPECT_EQ(Sum.FixpointPassesRun, 2300);
+  EXPECT_EQ(Sum.FixpointPassesSkipped, 812);
+  EXPECT_EQ(Sum.QuiescentRounds, 174);
 }
 
 } // namespace

@@ -19,6 +19,7 @@
 #include "driver/Compiler.h"
 #include "server/Client.h"
 #include "server/Server.h"
+#include "verify/Oracle.h"
 
 #include <gtest/gtest.h>
 
@@ -56,11 +57,14 @@ struct TestServer {
   std::unique_ptr<server::CompileServer> Server;
   std::string Socket;
 
-  explicit TestServer(const char *Tag, int Jobs = 2) : Socket(tempSocket(Tag)) {
+  explicit TestServer(const char *Tag, int Jobs = 2,
+                      opt::FunctionVerifier *Verifier = nullptr)
+      : Socket(tempSocket(Tag)) {
     server::ServerOptions SO;
     SO.SocketPath = Socket;
     SO.Jobs = Jobs;
     SO.Cache = &Cache;
+    SO.Base.Verifier = Verifier;
     Server = std::make_unique<server::CompileServer>(std::move(SO));
     std::string Err;
     EXPECT_TRUE(Server->start(Err)) << Err;
@@ -241,6 +245,34 @@ TEST(CompileServer, CompileErrorKeepsConnectionUsable) {
   const server::ServerStats S = TS.Server->stats();
   EXPECT_EQ(S.RequestErrors, 1);
   EXPECT_EQ(S.RequestsServed, 2);
+}
+
+// A verifying server runs every compiled main under the oracle on a pool
+// worker. A printf of a %c byte >= 128 once threw there, and the reader
+// thread's future rethrew it and took the daemon down.
+TEST(CompileServer, VerifyingServerSurvivesHighBytePrintf) {
+  verify::OracleOptions OO;
+  OO.Gran = verify::Granularity::Final;
+  verify::Oracle Oracle(OO);
+  TestServer TS("oracle", 2, &Oracle);
+  server::Client Conn;
+  std::string Err;
+  ASSERT_TRUE(Conn.connect(TS.Socket, Err)) << Err;
+
+  server::CompileRequest Req;
+  Req.Name = "highbyte";
+  Req.Source = "int main() { printf(\"[%c]\", 200); return 0; }";
+  server::CompileResponse Resp;
+  ASSERT_TRUE(Conn.roundtrip(Req, Resp, Err)) << Err;
+  EXPECT_TRUE(Resp.Ok) << Resp.Error;
+
+  Req.Name = "next";
+  Req.Source = "int main() { return 5; }";
+  ASSERT_TRUE(Conn.roundtrip(Req, Resp, Err)) << Err;
+  EXPECT_TRUE(Resp.Ok) << Resp.Error;
+  EXPECT_EQ(TS.Server->stats().RequestsServed, 2);
+  EXPECT_GT(Oracle.counters().Checks, 0);
+  EXPECT_TRUE(Oracle.ok());
 }
 
 TEST(CompileServer, GarbageFrameGetsProtocolErrorResponse) {

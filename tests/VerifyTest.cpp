@@ -300,9 +300,9 @@ TEST(Verify, MutationIsCaughtAtFinalGranularity) {
 
 TEST(Verify, MutationReducesToSmallRepro) {
   ReduceOptions RO;
-  RO.TK = target::TargetKind::M68;
-  RO.Level = opt::OptLevel::Jumps;
-  RO.Pipeline.MutateForTesting = true;
+  RO.Check.TK = target::TargetKind::M68;
+  RO.Check.Level = opt::OptLevel::Jumps;
+  RO.Check.Mutate = true;
   ReduceResult R = reduce(MutationVictim, RO);
   ASSERT_TRUE(R.Mismatch);
   EXPECT_FALSE(R.Source.empty());
@@ -310,14 +310,36 @@ TEST(Verify, MutationReducesToSmallRepro) {
   EXPECT_LE(R.Blocks, 10);
   // The reduced source must itself still miscompile (reduce re-checks it,
   // but prove it from the outside too): reference vs. mutated pipeline.
-  ease::RunResult Ref = compileAndRun(R.Source, RO.TK, opt::OptLevel::Simple);
+  ease::RunResult Ref =
+      compileAndRun(R.Source, RO.Check.TK, opt::OptLevel::Simple);
   opt::PipelineOptions Bad;
   Bad.MutateForTesting = true;
-  Compilation C = compile(R.Source, RO.TK, RO.Level, &Bad);
+  Compilation C = compile(R.Source, RO.Check.TK, RO.Check.Level, &Bad);
   ASSERT_TRUE(C.ok()) << C.Error;
   ease::RunResult Mut = ease::run(*C.Prog, {});
   EXPECT_TRUE(Ref.Output != Mut.Output || Ref.ExitCode != Mut.ExitCode ||
               Ref.TrapKind != Mut.TrapKind);
+}
+
+// Seed 3's planted miscompile never reaches main's output: only the
+// oracle, which calls each function on its own inputs, sees it. The
+// reducer keeps candidates by the job's own check, oracle included.
+TEST(Verify, OracleOnlyFailureReduces) {
+  ReduceOptions RO;
+  RO.Check.TK = target::TargetKind::M68;
+  RO.Check.Level = opt::OptLevel::Jumps;
+  RO.Check.Mutate = true;
+  RO.Check.Oracle.Gran = Granularity::Pass;
+  const std::string Src = randomProgram(3);
+  FuzzCheckOptions DifferentialOnly = RO.Check;
+  DifferentialOnly.Oracle.Gran = Granularity::Off;
+  ASSERT_FALSE(fuzzCheck(Src, DifferentialOnly).miscompiled());
+  ASSERT_TRUE(fuzzCheck(Src, RO.Check).miscompiled());
+
+  ReduceResult R = reduce(Src, RO);
+  ASSERT_TRUE(R.Mismatch);
+  EXPECT_LE(R.Blocks, 10);
+  EXPECT_TRUE(fuzzCheck(R.Source, RO.Check).miscompiled()) << R.Source;
 }
 
 TEST(Verify, NoMismatchMeansNothingToReduce) {
