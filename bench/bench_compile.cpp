@@ -26,8 +26,9 @@
 // failed the per-program regression check on about half the runs.
 //
 // Exit status: 2 on any other option; 1 when a program's default compile
-// is slower than its reference compile beyond noise (see
-// checkNoRegression) or an output cannot be written; else 0.
+// is slower than its reference compile beyond noise, confirmed by timing
+// the pair again (see checkNoRegression), or an output cannot be written;
+// else 0.
 //
 //===----------------------------------------------------------------------===//
 
@@ -93,17 +94,40 @@ int64_t fastestUs(const BenchProgram &BP, target::TargetKind TK,
 /// noise. Every layered speedup (caching, scheduling, arena) is supposed to
 /// be monotone per program, not just in aggregate; a real inversion is a
 /// bug (an earlier BENCH_compile.json shipped one for sort/m68). The 25%
-/// tolerance absorbs timer jitter on sub-millisecond compiles.
-bool checkNoRegression(const char *Prog, const char *Target,
-                       int64_t ReferenceUs, int64_t DefaultUs) {
-  if (DefaultUs <= ReferenceUs + ReferenceUs / 4)
+/// tolerance absorbs timer jitter on sub-millisecond compiles. A pair that
+/// trips it is timed again - both pipelines, alternating, fastest of 9 -
+/// and fails only if the re-timed pair trips it too: on a shared 4-vCPU
+/// VM, other tenants' load moved one fastest-of-3 timing of a ~1.2 ms
+/// compile past the tolerance in about one serial run of twelve.
+bool checkNoRegression(const BenchProgram &BP, target::TargetKind TK,
+                       const opt::PipelineOptions &Reference,
+                       int64_t ReferenceUs, int64_t DefaultUs,
+                       obs::TraceSink *Trace) {
+  auto withinTolerance = [](int64_t RefUs, int64_t DefUs) {
+    return DefUs <= RefUs + RefUs / 4;
+  };
+  if (withinTolerance(ReferenceUs, DefaultUs))
     return true;
+  const int ConfirmReps = 9;
+  int64_t RetimedRefUs = std::numeric_limits<int64_t>::max();
+  int64_t RetimedDefUs = RetimedRefUs;
+  for (int R = 0; R < ConfirmReps; ++R) {
+    RetimedRefUs = std::min(RetimedRefUs, fastestUs(BP, TK, Reference, 1, Trace,
+                                                    "jumps-baseline"));
+    RetimedDefUs = std::min(
+        RetimedDefUs, fastestUs(BP, TK, {}, 1, Trace, "jumps-optimized"));
+  }
+  const bool Confirmed = !withinTolerance(RetimedRefUs, RetimedDefUs);
   std::fprintf(stderr,
-               "REGRESSION: %s/%s optimized %lld us exceeds baseline %lld "
-               "us by more than 25%%\n",
-               Prog, Target, static_cast<long long>(DefaultUs),
-               static_cast<long long>(ReferenceUs));
-  return false;
+               "%s: %s/%s optimized %lld us exceeds baseline %lld us by more "
+               "than 25%%; re-timed (fastest of %d, alternating): optimized "
+               "%lld us, baseline %lld us\n",
+               Confirmed ? "REGRESSION" : "note", BP.Name.c_str(),
+               target::targetName(TK), static_cast<long long>(DefaultUs),
+               static_cast<long long>(ReferenceUs), ConfirmReps,
+               static_cast<long long>(RetimedDefUs),
+               static_cast<long long>(RetimedRefUs));
+  return !Confirmed;
 }
 
 /// Best-effort "git rev-parse --short HEAD"; "unknown" outside a checkout.
@@ -166,8 +190,8 @@ int main(int argc, char **argv) {
         fastestUs(*BP, TK, {}, Reps, Trace, "jumps-optimized");
     ReferenceTotalUs += ReferenceUs;
     DefaultTotalUs += DefaultUs;
-    AllMonotone &= checkNoRegression(BP->Name.c_str(), target::targetName(TK),
-                                     ReferenceUs, DefaultUs);
+    AllMonotone &=
+        checkNoRegression(*BP, TK, Reference, ReferenceUs, DefaultUs, Trace);
 
     if (!ProgramsJson.empty())
       ProgramsJson += ",\n";

@@ -3,6 +3,7 @@
 #include "cache/CompileCache.h"
 
 #include "cfg/FunctionPrinter.h"
+#include "support/Format.h"
 
 #include <algorithm>
 #include <cinttypes>
@@ -35,37 +36,55 @@ std::string PipelineCache::keyFor(const cfg::Function &F,
                                   const target::Target &T,
                                   const opt::PipelineOptions &Options) const {
   const replicate::ReplicationOptions &R = Options.Replication;
+  std::string Key;
+  // One "<name> <value>..." header line.
+  auto line = [&Key](const char *Name, auto... Values) {
+    Key += Name;
+    ((Key += ' ', appendInt(Key, Values)), ...);
+    Key += '\n';
+  };
+  Key += "coderep-fn-key v2\ntarget ";
+  Key += T.name();
+  Key += '\n';
+  line("level", static_cast<int>(Options.Level));
+  line("maxiter", Options.MaxFixpointIterations);
+  // The mutation-testing flag deliberately miscompiles, so it is as
+  // semantic as the optimization level. (The Verifier itself is
+  // byte-neutral and stays out, like Jobs.)
+  line("mutate", Options.MutateForTesting ? 1 : 0);
+  line("heuristic", static_cast<int>(R.Heuristic));
+  line("maxseq", R.MaxSequenceRtls);
   char GrowthHex[64];
   // %a is exact for doubles, so the key never depends on decimal rounding.
   std::snprintf(GrowthHex, sizeof(GrowthHex), "%a", R.MaxGrowthFactor);
-
-  std::string RtlText = cfg::toString(F);
-
-  std::ostringstream Key;
-  Key << "coderep-fn-key v2\n"
-      << "target " << T.name() << "\n"
-      << "level " << static_cast<int>(Options.Level) << "\n"
-      << "maxiter " << Options.MaxFixpointIterations << "\n"
-      // The mutation-testing flag deliberately miscompiles, so it is as
-      // semantic as the optimization level. (The Verifier itself is
-      // byte-neutral and stays out, like Jobs.)
-      << "mutate " << (Options.MutateForTesting ? 1 : 0) << "\n"
-      << "heuristic " << static_cast<int>(R.Heuristic) << "\n"
-      << "maxseq " << R.MaxSequenceRtls << "\n"
-      << "growth " << GrowthHex << "\n"
-      << "growthbase " << R.GrowthBaselineRtls << "\n"
-      << "maxrepl " << R.MaxReplacements << "\n"
-      << "indirect " << (R.AllowIndirectEndings ? 1 : 0) << "\n"
-      << "frame " << F.FrameBytes << " " << F.ParamBytes << "\n"
-      << "limits " << F.labelLimit() << " " << F.vregLimit() << "\n";
-  Key << "promotable " << F.PromotableLocals.size() << ":";
-  for (int Off : F.PromotableLocals)
-    Key << " " << Off;
-  Key << "\n";
+  Key += "growth ";
+  Key += GrowthHex;
+  Key += '\n';
+  line("growthbase", R.GrowthBaselineRtls);
+  line("maxrepl", R.MaxReplacements);
+  line("indirect", R.AllowIndirectEndings ? 1 : 0);
+  line("frame", F.FrameBytes, F.ParamBytes);
+  line("limits", F.labelLimit(), F.vregLimit());
+  Key += "promotable ";
+  appendInt(Key, static_cast<int64_t>(F.PromotableLocals.size()));
+  Key += ':';
+  for (int Off : F.PromotableLocals) {
+    Key += ' ';
+    appendInt(Key, Off);
+  }
+  Key += '\n';
   // Length-prefixed so the free-form RTL text (which embeds the function
-  // name) cannot be confused with the structured header above.
-  Key << "rtl " << RtlText.size() << "\n" << RtlText;
-  return Key.str();
+  // name) cannot be confused with the structured header above. The text
+  // is printed straight into the key; its length is inserted in front of
+  // it afterwards.
+  Key += "rtl ";
+  const size_t LengthAt = Key.size();
+  Key += '\n';
+  cfg::appendText(Key, F);
+  std::string Length;
+  appendInt(Length, static_cast<int64_t>(Key.size() - LengthAt - 1));
+  Key.insert(LengthAt, Length);
+  return Key;
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,24 +7,42 @@
 using namespace coderep;
 using namespace coderep::cfg;
 
-std::string cfg::toString(const Function &F) {
-  std::string Out = format("function %s (frame %d bytes)\n", F.Name.c_str(),
-                           F.FrameBytes);
+void cfg::appendText(std::string &Out, const Function &F) {
+  Out += "function ";
+  Out += F.Name;
+  Out += " (frame ";
+  appendInt(Out, F.FrameBytes);
+  Out += " bytes)\n";
   for (int I = 0; I < F.size(); ++I) {
     const BasicBlock *B = F.block(I);
-    Out += format("L%d:\n", B->Label);
-    for (auto Insn : B->Insns)
-      Out += "    " + rtl::toString(Insn) + "\n";
-    if (B->DelaySlot)
-      Out += "    [slot] " + rtl::toString(*B->DelaySlot) + "\n";
+    Out += 'L';
+    appendInt(Out, B->Label);
+    Out += ":\n";
+    for (rtl::ConstInsnView Insn : B->Insns) {
+      Out += "    ";
+      rtl::appendText(Out, Insn);
+      Out += '\n';
+    }
+    if (B->DelaySlot) {
+      Out += "    [slot] ";
+      rtl::appendText(Out, *B->DelaySlot);
+      Out += '\n';
+    }
   }
+}
+
+std::string cfg::toString(const Function &F) {
+  std::string Out;
+  appendText(Out, F);
   return Out;
 }
 
 std::string cfg::toString(const Program &P) {
   std::string Out;
-  for (const auto &F : P.Functions)
-    Out += toString(*F) + "\n";
+  for (const auto &F : P.Functions) {
+    appendText(Out, *F);
+    Out += '\n';
+  }
   return Out;
 }
 

@@ -7,8 +7,11 @@
 ///
 /// \file
 /// Renders functions in the paper's listing style: a label line "L<k>"
-/// followed by one RTL per line, blocks in positional order. Used by the
-/// examples and the Table 1 / Table 2 benches to show before/after code.
+/// followed by one RTL per line, blocks in positional order. The examples
+/// and the Table 1 / Table 2 benches show before/after code with it, and
+/// the same text is the compile server's response, the function cache's
+/// key material and the oracle's identity check, so printing appends into
+/// a caller-owned string instead of building one per RTL.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,10 +24,15 @@
 
 namespace coderep::cfg {
 
-/// Renders \p F as text.
+/// Appends \p F's listing to \p Out: a "function <name> (frame N bytes)"
+/// header, then per block its label line and one indented RTL per line
+/// (the delay slot last, as "[slot] <rtl>").
+void appendText(std::string &Out, const Function &F);
+
+/// Renders \p F as appendText() does.
 std::string toString(const Function &F);
 
-/// Renders every function of \p P.
+/// Renders every function of \p P, each listing followed by a blank line.
 std::string toString(const Program &P);
 
 /// Renders \p F's flow graph as Graphviz DOT: one node per block (label

@@ -20,8 +20,10 @@ StaticStats driver::staticStats(const Program &P) {
     for (int B = 0; B < F->size(); ++B) {
       const BasicBlock *Block = F->block(B);
       S.Instructions += Block->rtlCount();
-      auto count = [&S](const Insn &I) {
-        switch (I.Op) {
+      // Reads only the opcode, so arena RTLs are counted through their
+      // views without materializing an Insn (and its switch table).
+      auto count = [&S](Opcode Op) {
+        switch (Op) {
         case Opcode::Jump:
           ++S.UncondJumps;
           break;
@@ -38,10 +40,10 @@ StaticStats driver::staticStats(const Program &P) {
           break;
         }
       };
-      for (auto I : Block->Insns)
-        count(I);
+      for (ConstInsnView I : Block->Insns)
+        count(I.Op);
       if (Block->DelaySlot)
-        count(*Block->DelaySlot);
+        count(Block->DelaySlot->Op);
     }
   }
   return S;

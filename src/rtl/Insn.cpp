@@ -2,6 +2,7 @@
 
 #include "rtl/Insn.h"
 
+#include "rtl/InsnArena.h"
 #include "rtl/InsnOps.h"
 
 #include "support/Check.h"
@@ -140,48 +141,91 @@ bool rtl::operator==(const Insn &A, const Insn &B) {
          A.Table == B.Table && A.Callee == B.Callee;
 }
 
-std::string rtl::toString(const Operand &O) {
+// The printer appends into a caller-owned string: no temporary per operand
+// or RTL. The cache key, the server's responses and the oracle's identity
+// check are built from this text, so its bytes are pinned by RtlTest.
+
+static void appendReg(std::string &Out, int R) {
+  switch (R) {
+  case RegSP:
+    Out += "sp";
+    return;
+  case RegFP:
+    Out += "fp";
+    return;
+  case RegRV:
+    Out += "rv";
+    return;
+  case RegCC:
+    Out += "NZ";
+    return;
+  default:
+    break;
+  }
+  if (isVirtualReg(R)) {
+    Out += "v[";
+    appendInt(Out, R - FirstVirtual);
+  } else {
+    Out += "r[";
+    appendInt(Out, R);
+  }
+  Out += ']';
+}
+
+static void appendOperand(std::string &Out, const Operand &O) {
   switch (O.Kind) {
   case OperandKind::None:
-    return "<none>";
+    Out += "<none>";
+    return;
   case OperandKind::Reg:
-    switch (O.Base) {
-    case RegSP:
-      return "sp";
-    case RegFP:
-      return "fp";
-    case RegRV:
-      return "rv";
-    case RegCC:
-      return "NZ";
-    default:
-      if (isVirtualReg(O.Base))
-        return format("v[%d]", O.Base - FirstVirtual);
-      return format("r[%d]", O.Base);
-    }
+    appendReg(Out, O.Base);
+    return;
   case OperandKind::Imm:
-    return format("%lld", static_cast<long long>(O.Disp));
+    appendInt(Out, O.Disp);
+    return;
   case OperandKind::Mem: {
-    std::string Addr;
-    if (O.Sym >= 0)
-      Addr += format("g%d.", O.Sym);
+    Out += O.Size == 1 ? "B[" : "L[";
+    bool Empty = true;
+    if (O.Sym >= 0) {
+      Out += 'g';
+      appendInt(Out, O.Sym);
+      Out += '.';
+      Empty = false;
+    }
     if (O.Base >= 0) {
-      if (!Addr.empty())
-        Addr += "+";
-      Addr += toString(Operand::reg(O.Base));
+      if (!Empty)
+        Out += '+';
+      appendReg(Out, O.Base);
+      Empty = false;
     }
+    // An index always carries its '+', even with nothing before it.
     if (O.Index >= 0) {
-      Addr += "+";
-      Addr += toString(Operand::reg(O.Index));
-      if (O.Scale != 1)
-        Addr += format("*%d", O.Scale);
+      Out += '+';
+      appendReg(Out, O.Index);
+      if (O.Scale != 1) {
+        Out += '*';
+        appendInt(Out, O.Scale);
+      }
+      Empty = false;
     }
-    if (O.Disp != 0 || Addr.empty())
-      Addr += format("%+lld", static_cast<long long>(O.Disp));
-    return format("%c[%s]", O.Size == 1 ? 'B' : 'L', Addr.c_str());
+    // The displacement is signed ("%+lld"), and an empty address prints
+    // "+0".
+    if (O.Disp != 0 || Empty) {
+      if (O.Disp >= 0)
+        Out += '+';
+      appendInt(Out, O.Disp);
+    }
+    Out += ']';
+    return;
   }
   }
   CODEREP_UNREACHABLE("bad operand kind");
+}
+
+std::string rtl::toString(const Operand &O) {
+  std::string Out;
+  appendOperand(Out, O);
+  return Out;
 }
 
 static const char *binaryOpSymbol(Opcode Op) {
@@ -229,39 +273,94 @@ static const char *condSymbol(CondCode C) {
   CODEREP_UNREACHABLE("bad condition code");
 }
 
-std::string rtl::toString(const Insn &I) {
+/// One definition for both RTL representations: it reads only the fields
+/// Insn and ConstInsnView share, and iterates the switch table in place.
+template <class InsnT>
+static void appendInsnText(std::string &Out, const InsnT &I) {
+  // Dst <Infix> Src1 ';'
+  auto assign = [&](const char *Infix) {
+    appendOperand(Out, I.Dst);
+    Out += Infix;
+    appendOperand(Out, I.Src1);
+    Out += ';';
+  };
   switch (I.Op) {
   case Opcode::Move:
-    return format("%s=%s;", toString(I.Dst).c_str(), toString(I.Src1).c_str());
+    assign("=");
+    return;
   case Opcode::Neg:
-    return format("%s=-%s;", toString(I.Dst).c_str(), toString(I.Src1).c_str());
+    assign("=-");
+    return;
   case Opcode::Not:
-    return format("%s=~%s;", toString(I.Dst).c_str(), toString(I.Src1).c_str());
+    assign("=~");
+    return;
   case Opcode::Lea:
-    return format("%s=&%s;", toString(I.Dst).c_str(),
-                  toString(I.Src1).c_str());
+    assign("=&");
+    return;
   case Opcode::Compare:
-    return format("NZ=%s?%s;", toString(I.Src1).c_str(),
-                  toString(I.Src2).c_str());
+    Out += "NZ=";
+    appendOperand(Out, I.Src1);
+    Out += '?';
+    appendOperand(Out, I.Src2);
+    Out += ';';
+    return;
   case Opcode::CondJump:
-    return format("PC=NZ%s,L%d;", condSymbol(I.Cond), I.Target);
+    Out += "PC=NZ";
+    Out += condSymbol(I.Cond);
+    Out += ",L";
+    appendInt(Out, I.Target);
+    Out += ';';
+    return;
   case Opcode::Jump:
-    return format("PC=L%d;", I.Target);
+    Out += "PC=L";
+    appendInt(Out, I.Target);
+    Out += ';';
+    return;
   case Opcode::SwitchJump: {
-    std::string Labels;
-    for (size_t J = 0; J < I.Table.size(); ++J)
-      Labels += format("%sL%d", J ? "," : "", I.Table[J]);
-    return format("PC=TAB[%s]{%s};", toString(I.Src1).c_str(), Labels.c_str());
+    Out += "PC=TAB[";
+    appendOperand(Out, I.Src1);
+    Out += "]{";
+    bool First = true;
+    for (int Label : I.Table) {
+      Out += First ? "L" : ",L";
+      appendInt(Out, Label);
+      First = false;
+    }
+    Out += "};";
+    return;
   }
   case Opcode::Call:
-    return format("CALL f%d;", I.Callee);
+    Out += "CALL f";
+    appendInt(Out, I.Callee);
+    Out += ';';
+    return;
   case Opcode::Return:
-    return "PC=RT;";
+    Out += "PC=RT;";
+    return;
   case Opcode::Nop:
-    return "NOP;";
+    Out += "NOP;";
+    return;
   default:
-    return format("%s=%s%s%s;", toString(I.Dst).c_str(),
-                  toString(I.Src1).c_str(), binaryOpSymbol(I.Op),
-                  toString(I.Src2).c_str());
+    appendOperand(Out, I.Dst);
+    Out += '=';
+    appendOperand(Out, I.Src1);
+    Out += binaryOpSymbol(I.Op);
+    appendOperand(Out, I.Src2);
+    Out += ';';
+    return;
   }
+}
+
+void rtl::appendText(std::string &Out, const Insn &I) {
+  appendInsnText(Out, I);
+}
+
+void rtl::appendText(std::string &Out, const ConstInsnView &I) {
+  appendInsnText(Out, I);
+}
+
+std::string rtl::toString(const Insn &I) {
+  std::string Out;
+  appendText(Out, I);
+  return Out;
 }

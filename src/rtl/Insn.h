@@ -156,8 +156,17 @@ struct Insn {
 
 bool operator==(const Insn &A, const Insn &B);
 
-/// Renders \p I in the paper's notation, e.g. "r[5]=r[5]+1;" or
+class ConstInsnView;
+
+/// Appends \p I in the paper's notation to \p Out, e.g. "r[5]=r[5]+1;" or
 /// "PC=NZ<0,L16;".
+void appendText(std::string &Out, const Insn &I);
+
+/// Appends an arena-held RTL, read in place through its view, exactly as
+/// its materialized Insn would print.
+void appendText(std::string &Out, const ConstInsnView &I);
+
+/// Renders \p I as appendText() does.
 std::string toString(const Insn &I);
 
 } // namespace coderep::rtl

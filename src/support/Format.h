@@ -6,15 +6,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// printf-style formatting into std::string, plus table-rendering helpers
-/// used by the benchmark harnesses to print paper-style tables.
+/// printf-style formatting into std::string, an append-only integer writer
+/// for hot printers, plus table-rendering helpers used by the benchmark
+/// harnesses to print paper-style tables.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CODEREP_SUPPORT_FORMAT_H
 #define CODEREP_SUPPORT_FORMAT_H
 
+#include <charconv>
 #include <cstdarg>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -22,6 +25,13 @@ namespace coderep {
 
 /// Formats like sprintf but returns a std::string.
 std::string format(const char *Fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/// Appends \p V in decimal, exactly as "%lld" prints it, without a
+/// temporary string.
+inline void appendInt(std::string &Out, int64_t V) {
+  char Buf[20]; // "-9223372036854775808"
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+}
 
 /// Renders a percentage difference the way the paper prints them, e.g.
 /// "+56.53%" or "-5.71%". \p New and \p Old are absolute values.
