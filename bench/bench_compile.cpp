@@ -306,10 +306,10 @@ int main(int argc, char **argv) {
                "  \"repetitions\": %d,\n  \"jobs\": 1,\n"
                "  \"baseline\": \"reference pipeline: rerun-everything "
                "fixpoint loop, unfused register passes, every analysis "
-               "(shortest paths included) recomputed per query\",\n"
+               "recomputed per query\",\n"
                "  \"optimized\": \"default pipeline: change-driven pass "
                "scheduling, fused local sweep, epoch-stamped analysis "
-               "manager with a cross-round shortest-path cache\",\n"
+               "manager\",\n"
                "  %s,\n  \"programs\": [\n%s\n  ]\n}\n",
                Reps, Totals.c_str(), ProgramsJson.c_str());
   std::fclose(F);

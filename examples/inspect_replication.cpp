@@ -141,9 +141,10 @@ int main(int Argc, char **Argv) {
                 static_cast<long long>(C.Pipeline.PhaseMicros[I]));
   std::printf("  %-28s %6lld us\n", "total",
               static_cast<long long>(C.Pipeline.totalMicros()));
-  std::printf("shortest-path matrix cache: %d hits, %d misses over %d "
+  std::printf("analysis manager: %lld hits, %lld recomputes over %d "
               "fixpoint iterations\n",
-              C.Pipeline.SpCacheHits, C.Pipeline.SpCacheMisses,
+              static_cast<long long>(C.Pipeline.Analysis.totalHits()),
+              static_cast<long long>(C.Pipeline.Analysis.totalRecomputes()),
               C.Pipeline.FixpointIterations);
   std::printf("fixpoint scheduling: %lld pass bodies run, %lld skipped by "
               "the invalidation matrix, %d quiescent rounds\n",

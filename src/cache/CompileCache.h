@@ -22,7 +22,7 @@
 /// On a hit the entry replays the *decision* counters of the original
 /// compile (replication stats, fixpoint rounds, delay-slot nops), keeping
 /// Table-5-style reporting stable, but none of the *work* counters (phase
-/// micros, passes run/skipped, shortest-path cache traffic): no work was
+/// micros, passes run/skipped, analysis hits and recomputes): no work was
 /// done, and pretending otherwise would corrupt throughput benchmarks.
 ///
 /// Disk format: one "<fnv64>.fn" file per entry, sharded across 16

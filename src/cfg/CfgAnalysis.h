@@ -41,7 +41,7 @@ public:
   explicit Dominators(const Function &F);
 
   /// As above, but reuses a prebuilt CSR snapshot of \p F's flow graph
-  /// (cfg::AnalysisCache builds the FlatCfg once and feeds it to every
+  /// (AnalysisManager builds the FlatCfg once and feeds it to every
   /// shape analysis). \p Flat must describe \p F's current state.
   Dominators(const Function &F, const FlatCfg &Flat);
 
@@ -71,7 +71,7 @@ public:
   explicit LoopInfo(const Function &F);
 
   /// As above, but reuses a prebuilt CSR snapshot and (optionally) a
-  /// dominator tree (cfg::AnalysisCache shares one FlatCfg and Dominators
+  /// dominator tree (AnalysisManager shares one FlatCfg and Dominators
   /// build across the shape analyses). Both must describe \p F's current
   /// state.
   LoopInfo(const Function &F, const FlatCfg &Flat);

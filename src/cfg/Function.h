@@ -101,15 +101,15 @@ public:
   /// insert, erase, adopt, normalize). Analyses may record it to assert
   /// the block *sequence* they were built over is unchanged. It does NOT
   /// observe in-place edits to BasicBlock::Insns - passes rewrite those
-  /// directly - so caches keyed on flow-graph shape must also check a
-  /// structural fingerprint (see replicate::ShortestPaths::fingerprint).
+  /// directly - so caches keyed on flow-graph shape key on
+  /// analysisEpoch() instead.
   uint64_t cfgVersion() const { return Version; }
 
   /// The analysis epoch: a counter bumped by every block-list mutation AND
   /// by noteRtlEdit(), the hook passes call after in-place RTL edits. An
   /// analysis result stamped with the epoch it was computed at is valid
   /// exactly while the function's epoch still equals that stamp (see
-  /// cfg::AnalysisCache / opt::AnalysisManager). Unlike cfgVersion() this
+  /// cfg::AnalysisManager). Unlike cfgVersion() this
   /// is not strictly monotonic over time: restoreAnalysisEpoch() winds it
   /// back when a transformation is rolled back byte-for-byte.
   uint64_t analysisEpoch() const { return AnalysisEpoch; }

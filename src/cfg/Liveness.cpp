@@ -1,15 +1,14 @@
 //===- Liveness.cpp - Register liveness dataflow analysis -------------------===//
 
-#include "opt/Liveness.h"
+#include "cfg/Liveness.h"
 
 #include "cfg/FlatCfg.h"
 
 using namespace coderep;
 using namespace coderep::cfg;
-using namespace coderep::opt;
 using namespace coderep::rtl;
 
-Liveness::Liveness(const Function &F, const cfg::FlatCfg &Flat) : Universe(F) {
+Liveness::Liveness(const Function &F, const FlatCfg &Flat) : Universe(F) {
   int N = F.size();
   LiveIn.assign(N, BitVec(Universe.size()));
   LiveOut.assign(N, BitVec(Universe.size()));

@@ -13,8 +13,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef CODEREP_OPT_LIVENESS_H
-#define CODEREP_OPT_LIVENESS_H
+#ifndef CODEREP_CFG_LIVENESS_H
+#define CODEREP_CFG_LIVENESS_H
 
 #include "cfg/Function.h"
 #include "support/BitVec.h"
@@ -22,16 +22,14 @@
 #include <vector>
 
 namespace coderep::cfg {
-class FlatCfg;
-} // namespace coderep::cfg
 
-namespace coderep::opt {
+class FlatCfg;
 
 /// Maps register numbers to dense slots: physical registers occupy
 /// [0, 64), virtual registers follow.
 class RegUniverse {
 public:
-  explicit RegUniverse(const cfg::Function &F)
+  explicit RegUniverse(const Function &F)
       : NumSlots(64 + static_cast<size_t>(F.vregLimit() - rtl::FirstVirtual)) {
   }
 
@@ -56,9 +54,9 @@ private:
 class Liveness {
 public:
   /// Solves the equations over \p Flat, a CSR snapshot of \p F's current
-  /// flow graph (opt::AnalysisManager shares one FlatCfg build across
+  /// flow graph (AnalysisManager shares one FlatCfg build across
   /// analyses).
-  Liveness(const cfg::Function &F, const cfg::FlatCfg &Flat);
+  Liveness(const Function &F, const FlatCfg &Flat);
 
   const RegUniverse &universe() const { return Universe; }
   const BitVec &liveIn(int Block) const { return LiveIn[Block]; }
@@ -70,6 +68,6 @@ private:
   std::vector<BitVec> LiveOut;
 };
 
-} // namespace coderep::opt
+} // namespace coderep::cfg
 
-#endif // CODEREP_OPT_LIVENESS_H
+#endif // CODEREP_CFG_LIVENESS_H

@@ -97,7 +97,7 @@ Compilation driver::compile(const std::string &Source, target::TargetKind TK,
     // Rollup of the per-function analysis caches (the per-analysis split
     // lives under the analysis.<name>.* keys). Counters, like that split:
     // a sink that spans several compiles totals them all.
-    const opt::AnalysisCounters &A = Result.Pipeline.Analysis;
+    const AnalysisCounters &A = Result.Pipeline.Analysis;
     Sink->metrics().add("driver.analysis_hits", A.totalHits());
     Sink->metrics().add("driver.analysis_recomputes", A.totalRecomputes());
     Sink->metrics().add("driver.analysis_invalidations",

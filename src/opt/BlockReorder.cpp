@@ -101,10 +101,8 @@ PassResult opt::runBlockReorder(Function &F) {
   F.noteBlockRemap();
   F.normalizeFallthroughs();
   // Reordering restructures the block list outright, so every shape and
-  // dataflow result is invalid. The shortest-path matrix stays marked
-  // preserved: it is fingerprint-revalidated on every reuse, and such a
-  // change always perturbs the fingerprint.
-  return {true, PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths)};
+  // dataflow result is invalid.
+  return {true, PreservedAnalyses::none()};
 }
 
 PassResult opt::runMergeFallthroughs(Function &F) {
@@ -136,7 +134,6 @@ PassResult opt::runMergeFallthroughs(Function &F) {
     Changed = true;
   }
   // Merging erases blocks (same argument as block reordering above).
-  return {Changed,
-          PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths)};
+  return {Changed, PreservedAnalyses::none()};
 }
 

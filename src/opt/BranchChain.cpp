@@ -111,16 +111,11 @@ PassResult opt::runBranchChaining(Function &F) {
     Changed = true;
   }
   // Retargeted edges and erased blocks rewrite the flow graph itself, so
-  // a change invalidates every shape and dataflow result. The
-  // shortest-path matrix stays marked preserved: it revalidates itself
-  // against a structural fingerprint on every reuse, which any such change
-  // perturbs.
-  return {Changed,
-          PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths)};
+  // a change invalidates every shape and dataflow result.
+  return {Changed, PreservedAnalyses::none()};
 }
 
 PassResult opt::runUnreachableElim(Function &F) {
   // Erasing blocks restructures the block list (same argument as above).
-  return {removeUnreachableBlocks(F) > 0,
-          PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths)};
+  return {removeUnreachableBlocks(F) > 0, PreservedAnalyses::none()};
 }

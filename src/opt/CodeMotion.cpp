@@ -11,7 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "cfg/CfgAnalysis.h"
-#include "opt/Liveness.h"
+#include "cfg/Liveness.h"
 #include "opt/Pass.h"
 #include "support/Check.h"
 
@@ -213,8 +213,7 @@ restart:
           createPreheader(F, AM, Loop);
           // Structure changed (blocks inserted, branches retargeted):
           // nothing survives; the caller restarts with fresh analyses.
-          AM.noteEdit(
-              PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths));
+          AM.noteEdit(PreservedAnalyses::none());
           return HoistStep::Preheader;
         }
         BasicBlock *Pre = F.block(P);

@@ -108,9 +108,6 @@ PassResult opt::runConstantFolding(Function &F) {
   // Folding a comparison of constants rewrites the conditional branch
   // into a jump (or deletes it), changing edges, so a change preserves no
   // shape or dataflow result. (The common all-ALU case could keep shape,
-  // but the pass does not distinguish its changes.) The shortest-path
-  // matrix stays marked preserved: it is fingerprint-revalidated on every
-  // reuse.
-  return {Changed,
-          PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths)};
+  // but the pass does not distinguish its changes.)
+  return {Changed, PreservedAnalyses::none()};
 }

@@ -390,8 +390,6 @@ PassResult opt::runLocalCse(Function &F, const target::Target &T,
   const bool Changed = CsePass(F, T, AM.flatCfg()).run();
   // Constant propagation folds conditional branches into jumps (or
   // deletes them), changing edges, so a change preserves no shape or
-  // dataflow result. The shortest-path matrix stays marked preserved: it
-  // is fingerprint-revalidated on every reuse.
-  return {Changed,
-          PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths)};
+  // dataflow result.
+  return {Changed, PreservedAnalyses::none()};
 }

@@ -7,7 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "opt/Liveness.h"
+#include "cfg/Liveness.h"
 #include "opt/Pass.h"
 
 using namespace coderep;

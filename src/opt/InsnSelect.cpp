@@ -20,7 +20,7 @@
 
 #include "opt/Pass.h"
 
-#include "opt/Liveness.h"
+#include "cfg/Liveness.h"
 #include "rtl/InsnOps.h"
 
 #include <algorithm>

@@ -19,7 +19,7 @@
 /// changed the function and which cached analyses that change preserved;
 /// the structural argument for each claim is the comment at its return.
 /// The pipeline commits the result through the protocol of
-/// AnalysisManager.h. A pass with mid-run edit bursts that precede
+/// cfg/AnalysisManager.h. A pass with mid-run edit bursts that precede
 /// further analysis queries commits them itself with AM.noteEdit.
 ///
 //===----------------------------------------------------------------------===//
@@ -28,7 +28,7 @@
 #define CODEREP_OPT_PASS_H
 
 #include "cfg/Function.h"
-#include "opt/AnalysisManager.h"
+#include "cfg/AnalysisManager.h"
 #include "target/Target.h"
 
 namespace coderep::opt {
@@ -42,7 +42,7 @@ struct PassResult {
   /// Changed (an unchanged pass trivially preserves everything). Every
   /// claim carries a structural argument at the pass's return and is
   /// differentially tested against the always-recompute reference.
-  PreservedAnalyses Preserved = PreservedAnalyses::none();
+  cfg::PreservedAnalyses Preserved = cfg::PreservedAnalyses::none();
 };
 
 /// Retargets branches whose destination block only transfers control
@@ -70,27 +70,27 @@ PassResult runConstantFolding(cfg::Function &F);
 /// RTL whenever the combination is a legal instruction on \p T (folding
 /// loads/immediates/address arithmetic into users on the CISC target).
 PassResult runInstructionSelection(cfg::Function &F, const target::Target &T,
-                                   AnalysisManager &AM);
+                                   cfg::AnalysisManager &AM);
 
 /// Common subexpression elimination with copy/constant propagation over
 /// extended basic blocks (a block inherits the value table of a unique
 /// predecessor, so replicated code paths simplify, §3.3.2). Needs the
 /// target to keep every rewritten RTL legal.
 PassResult runLocalCse(cfg::Function &F, const target::Target &T,
-                       AnalysisManager &AM);
+                       cfg::AnalysisManager &AM);
 
 /// Deletes assignments to registers that are never subsequently used
 /// ("dead variable elimination").
-PassResult runDeadVariableElim(cfg::Function &F, AnalysisManager &AM);
+PassResult runDeadVariableElim(cfg::Function &F, cfg::AnalysisManager &AM);
 
 /// Loop-invariant code motion into loop preheaders ("code motion"); creates
 /// preheader blocks on demand (§3.3.3 discusses their placement after
 /// replication). Commits its own edits between hoists.
-PassResult runCodeMotion(cfg::Function &F, AnalysisManager &AM);
+PassResult runCodeMotion(cfg::Function &F, cfg::AnalysisManager &AM);
 
 /// Strength reduction: multiplications by powers of two become shifts, and
 /// multiplications of loop induction variables become running sums.
-PassResult runStrengthReduction(cfg::Function &F, AnalysisManager &AM);
+PassResult runStrengthReduction(cfg::Function &F, cfg::AnalysisManager &AM);
 
 /// The two segments of the fused register-level sweep, matching where its
 /// sub-passes sit in the Figure-3 round (they are not adjacent there -
@@ -108,7 +108,7 @@ enum class FusedSegment {
 /// own result to \p AM. Byte-identical to scheduling the passes
 /// individually, as PipelineOptions::Reference does.
 PassResult runFusedLocalSweep(cfg::Function &F, const target::Target &T,
-                              AnalysisManager &AM, FusedSegment Segment);
+                              cfg::AnalysisManager &AM, FusedSegment Segment);
 
 /// Register assignment (Figure 3): promotes the word-sized scalar locals
 /// and parameters whose address is never taken (Function::PromotableLocals)
@@ -122,7 +122,7 @@ PassResult runRegisterAssignment(cfg::Function &F);
 /// Afterwards the function contains no virtual registers. Commits each
 /// spill burst itself before rebuilding liveness.
 PassResult runRegisterAllocation(cfg::Function &F, const target::Target &T,
-                                 AnalysisManager &AM);
+                                 cfg::AnalysisManager &AM);
 
 /// Fills the architectural delay slot of every transfer with an independent
 /// RTL from the same block, or a Nop ("for the SPARC processor, delay slots

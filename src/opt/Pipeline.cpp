@@ -5,7 +5,6 @@
 #include "obs/Journal.h"
 #include "obs/ScopedTimer.h"
 #include "opt/Pass.h"
-#include "replicate/ShortestPaths.h"
 #include "support/Check.h"
 #include "support/Format.h"
 #include "support/ThreadPool.h"
@@ -75,8 +74,6 @@ PipelineStats &PipelineStats::operator+=(const PipelineStats &Other) {
   Replication += Other.Replication;
   FixpointIterations += Other.FixpointIterations;
   DelaySlotNops += Other.DelaySlotNops;
-  SpCacheHits += Other.SpCacheHits;
-  SpCacheMisses += Other.SpCacheMisses;
   FixpointPassesRun += Other.FixpointPassesRun;
   FixpointPassesSkipped += Other.FixpointPassesSkipped;
   QuiescentRounds += Other.QuiescentRounds;
@@ -186,32 +183,24 @@ constexpr uint16_t Invalidates[NumFixpointPasses] = {
 } // namespace
 
 /// Runs the configured replication algorithm once. Both algorithms borrow
-/// the manager's shape cache, so JUMPS and LOOPS rounds share dominator and
-/// loop results with each other and with the optimizer's own passes. The
-/// reference pipeline withholds the shortest-path cache, so JUMPS builds a
-/// fresh step-1 matrix every round.
+/// the function's analysis manager, so JUMPS and LOOPS rounds share
+/// dominator and loop results with each other and with the optimizer's
+/// own passes.
 static PassResult runReplication(Function &F, const PipelineOptions &Options,
                                  replicate::ReplicationStats &Stats,
                                  AnalysisManager &AM) {
   // Replication splices in copied blocks and retargets edges, so a change
-  // preserves no shape or dataflow result. The shortest-path matrix stays
-  // marked preserved: it is fingerprint-revalidated on every reuse.
-  const PreservedAnalyses Preserved =
-      PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths);
+  // preserves no shape or dataflow result.
   switch (Options.Level) {
   case OptLevel::Simple:
     return {};
   case OptLevel::Loops:
-    return {replicate::runLoops(F, &Stats, Options.Replication.Trace,
-                                &AM.shapeCache(),
+    return {replicate::runLoops(F, &Stats, Options.Replication.Trace, &AM,
                                 Options.Replication.Validator),
-            Preserved};
+            PreservedAnalyses::none()};
   case OptLevel::Jumps:
-    return {replicate::runJumps(F, Options.Replication, &Stats,
-                                Options.Reference ? nullptr
-                                                  : &AM.shortestPaths(),
-                                &AM.shapeCache()),
-            Preserved};
+    return {replicate::runJumps(F, Options.Replication, &Stats, &AM),
+            PreservedAnalyses::none()};
   }
   CODEREP_UNREACHABLE("bad optimization level");
 }
@@ -260,11 +249,8 @@ static void optimizeFunction(Function &F, const target::Target &T,
   // 0 = the pre-loop passes, 1.. = fixpoint rounds, -1 = post-loop.
   int CurRound = 0;
 
-  // The analysis registry for this function: every pass queries its
-  // analyses here, and its shortest-path cache carries the step-1 matrix
-  // from one replication invocation to the next (the fixpoint loop's later
-  // iterations usually change nothing, so their replication calls
-  // revalidate and reuse it).
+  // The analysis registry for this function: every pass, replication
+  // included, queries its analyses here.
   AnalysisManager AM(F, /*CacheEnabled=*/!Options.Reference, EvSink);
 
   // Per-phase pass-latency histograms. They are function-local - workers
@@ -462,8 +448,6 @@ static void optimizeFunction(Function &F, const target::Target &T,
   if (VS)
     VS->endFunction(F);
 
-  Stats.SpCacheHits = AM.shortestPaths().hits();
-  Stats.SpCacheMisses = AM.shortestPaths().misses();
   Stats.Analysis = AM.counters();
 
   int64_t FnUs = 0;

@@ -34,7 +34,7 @@
 ///    per-pass dirty bits, so passes whose inputs no prior change could
 ///    have perturbed are skipped instead of rerun (DESIGN.md section 10);
 ///  * the four register-level fixpoint passes run as two fused sweeps;
-///  * analyses are served from a per-function AnalysisManager;
+///  * analyses are served from a per-function cfg::AnalysisManager;
 ///  * optimizeProgram fans independent functions out over a thread pool
 ///    (PipelineOptions::Jobs) with per-task stats merged deterministically;
 ///  * optimized bodies can be memoized in a content-addressed
@@ -47,7 +47,7 @@
 #define CODEREP_OPT_PIPELINE_H
 
 #include "cfg/Function.h"
-#include "opt/AnalysisManager.h"
+#include "cfg/AnalysisManager.h"
 #include "replicate/Replication.h"
 #include "support/NameTable.h"
 #include "target/Target.h"
@@ -267,9 +267,9 @@ struct PipelineStats {
   int FixpointIterations = 0;
   int DelaySlotNops = 0; ///< Nops emitted for unfillable delay slots
 
-  /// Behavior of the cross-round shortest-path matrix cache (JUMPS level
-  /// only): a hit means a replication round reused the previous matrix
-  /// because the flow graph was structurally unchanged.
+  /// Always 0: JUMPS builds one shortest-path matrix per round and caches
+  /// none across rounds. Kept only because bench/e2e still reads them for
+  /// replicate.sp_cache_hit_ratio; both go with that metric.
   int SpCacheHits = 0;
   int SpCacheMisses = 0;
 
@@ -296,9 +296,9 @@ struct PipelineStats {
   int FunctionCacheMisses = 0;
 
   /// Per-analysis cache behavior of the AnalysisManager (hits, recomputes
-  /// and invalidations for FlatCfg, dominators, loops, liveness and the
-  /// shortest-path matrix), summed over every function.
-  AnalysisCounters Analysis;
+  /// and invalidations for FlatCfg, dominators, loops and liveness),
+  /// summed over every function.
+  cfg::AnalysisCounters Analysis;
 
   /// Wall-clock microseconds spent inside each pass, summed over every
   /// invocation (most passes run once per fixpoint iteration).

@@ -14,7 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "opt/Liveness.h"
+#include "cfg/Liveness.h"
 #include "opt/Pass.h"
 #include "support/Check.h"
 

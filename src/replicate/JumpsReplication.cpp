@@ -19,7 +19,9 @@
 #include "support/Format.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 
 using namespace coderep;
@@ -68,8 +70,8 @@ struct UndoLog {
 class JumpsPass {
 public:
   JumpsPass(Function &F, const ReplicationOptions &O, ReplicationStats &S,
-            ShortestPathsCache *Cache, AnalysisCache &AC)
-      : F(F), O(O), S(S), Cache(Cache), AC(AC) {}
+            AnalysisManager &AM)
+      : F(F), O(O), S(S), AM(AM) {}
 
   bool run();
 
@@ -77,8 +79,7 @@ private:
   Function &F;
   const ReplicationOptions &O;
   ReplicationStats &S;
-  ShortestPathsCache *Cache; ///< optional cross-round matrix cache
-  AnalysisCache &AC;         ///< shape analyses, shared with the optimizer
+  AnalysisManager &AM; ///< loop analyses, shared with the optimizer
 
   /// (block label, target label) pairs proven non-replicable.
   std::set<std::pair<int, int>> Skip;
@@ -90,18 +91,16 @@ private:
   /// paper describes; because replications splice in new blocks, matrix
   /// entries are translated through stable block labels and every
   /// reconstructed path is re-validated against the current flow graph.
-  /// Owned by the cache when one is supplied, else by OwnedSP.
-  ShortestPaths *RoundSP = nullptr;
-  std::unique_ptr<ShortestPaths> OwnedSP;
+  std::unique_ptr<ShortestPaths> RoundSP;
   std::vector<int> RoundLabels;             ///< old index -> label
   std::map<int, int> RoundLabelToOld;       ///< label -> old index
 
   /// Loop structure of the current flow graph. The replication planner
   /// consults it for every candidate (step 3); rebuilding it per jump made
   /// LoopInfo construction the hottest part of a round, so it is queried
-  /// from the shared cache once per round and refreshed only after a
+  /// from the shared manager once per round and refreshed only after a
   /// successful mutation. The shared handle pins the result: applyPlan
-  /// re-queries the cache mid-attempt (replacing the slot), and the
+  /// re-queries the manager mid-attempt (replacing the slot), and the
   /// planner's reference must survive that.
   std::shared_ptr<const LoopInfo> RoundLI;
 
@@ -117,8 +116,17 @@ private:
 bool JumpsPass::run() {
   int64_t Baseline =
       O.GrowthBaselineRtls > 0 ? O.GrowthBaselineRtls : F.rtlCount();
-  GrowthBudget =
-      static_cast<int64_t>(O.MaxGrowthFactor * std::max<int64_t>(Baseline, 64));
+  // Saturate in double before the cast: a huge or infinite factor means an
+  // unlimited budget, and one that is not positive (NaN included) means
+  // none, so no factor can overflow the conversion.
+  const double Budget = O.MaxGrowthFactor *
+                        static_cast<double>(std::max<int64_t>(Baseline, 64));
+  if (!(Budget > 0))
+    GrowthBudget = 0;
+  else if (Budget >= static_cast<double>(INT64_MAX))
+    GrowthBudget = INT64_MAX;
+  else
+    GrowthBudget = static_cast<int64_t>(Budget);
   if (F.rtlCount() >= GrowthBudget)
     return false;
   bool Changed = false;
@@ -139,17 +147,11 @@ bool JumpsPass::runRound() {
           ? format("\"function\": \"%s\", \"round\": %d",
                    obs::escapeJson(F.Name).c_str(), Round)
           : std::string());
-  // Step 1 once per round. With a cache, a round that follows a round (or
-  // an earlier fixpoint iteration) that left the flow graph untouched
-  // reuses the previous matrix, lazily-computed rows included. Without one
-  // (the reference pipeline) every round builds a fresh matrix.
-  if (Cache) {
-    Cache->setTrace(O.Trace.Sink);
-    RoundSP = &Cache->get(F);
-  } else {
-    OwnedSP = std::make_unique<ShortestPaths>(F, ShortestPaths::Strategy::Lazy,
-                                              O.Trace.Sink);
-    RoundSP = OwnedSP.get();
+  // Step 1 once per round: a fresh lazy matrix over the current graph.
+  {
+    obs::ScopedTimer Span(O.Trace.Sink, "shortest paths");
+    RoundSP = std::make_unique<ShortestPaths>(
+        F, ShortestPaths::Strategy::Lazy, O.Trace.Sink);
   }
   RoundLabels.clear();
   RoundLabelToOld.clear();
@@ -157,7 +159,7 @@ bool JumpsPass::runRound() {
     RoundLabels.push_back(F.block(B)->Label);
     RoundLabelToOld[F.block(B)->Label] = B;
   }
-  RoundLI = AC.loopsShared();
+  RoundLI = AM.loopsShared();
   bool Changed = false;
   // Pre-rewrite snapshot for the validator; refreshed after every applied
   // rewrite (step-6 rollbacks restore F exactly, so failures keep it live).
@@ -177,7 +179,7 @@ bool JumpsPass::runRound() {
       // before the next candidate is planned. (The shortest-path matrix
       // intentionally stays stale for the rest of the round, as in the
       // paper; see RoundSP.)
-      RoundLI = AC.loopsShared();
+      RoundLI = AM.loopsShared();
     }
   }
   return Changed;
@@ -393,13 +395,14 @@ bool JumpsPass::tryJumpAt(int BIdx) {
     int StubsBefore = S.StubJumpsAdded;
     UndoLog U;
     // The splice is speculative: every RTL the attempt allocates lands
-    // above one arena watermark (append-only mode), and the shape cache is
-    // imaged (entries and epoch), so a step-6 rollback truncates the arena
-    // and restores the pre-attempt analyses instead of copying RTLs back.
+    // above one arena watermark (append-only mode), and the analysis
+    // manager is imaged (every slot and the epoch), so a step-6 rollback
+    // truncates the arena and restores the pre-attempt analyses instead of
+    // copying RTLs back.
     rtl::InsnArena &A = F.arena();
     A.beginSpeculation();
     U.Mark = A.watermark();
-    AnalysisCache::Snapshot Snap = AC.snapshot();
+    AnalysisManager::Snapshot Snap = AM.snapshot();
     if (!applyPlan(BIdx, P, U)) {
       A.rollback(U.Mark);
       setFate(CI, obs::CandidateFate::PlanFailed);
@@ -408,7 +411,7 @@ bool JumpsPass::tryJumpAt(int BIdx) {
     F.verify();
     if (!isReducible(F)) {
       undo(U);
-      AC.restore(Snap);
+      AM.restore(Snap);
       ++S.RolledBackIrreducible;
       setFate(CI, obs::CandidateFate::RolledBackIrreducible);
       continue;
@@ -633,7 +636,7 @@ bool JumpsPass::applyPlan(int BIdx, const Plan &P, UndoLog &U) {
   // overlapping loops (Figure 2).
   // The splice bumped the epoch, so this query builds (and caches) loop
   // info for the just-spliced graph.
-  const LoopInfo &LIBefore = AC.loops();
+  const LoopInfo &LIBefore = AM.loops();
   std::set<int> CopiedLabels;
   for (const CopySpec &Spec : P.Specs)
     CopiedLabels.insert(Spec.OrigLabel);
@@ -697,13 +700,12 @@ void JumpsPass::undo(const UndoLog &U) {
 } // namespace
 
 bool replicate::runJumps(Function &F, const ReplicationOptions &Options,
-                         ReplicationStats *Stats, ShortestPathsCache *Cache,
-                         AnalysisCache *Analyses) {
+                         ReplicationStats *Stats, AnalysisManager *Analyses) {
   ReplicationStats Local;
-  // Without a caller-provided cache, fall back to a disabled local one:
+  // Without a caller-provided manager, fall back to a disabled local one:
   // every query recomputes, exactly the standalone behavior.
-  AnalysisCache LocalAC(F, /*Enabled=*/false);
-  JumpsPass Pass(F, Options, Stats ? *Stats : Local, Cache,
-                 Analyses ? *Analyses : LocalAC);
+  AnalysisManager LocalAM(F, /*CacheEnabled=*/false);
+  JumpsPass Pass(F, Options, Stats ? *Stats : Local,
+                 Analyses ? *Analyses : LocalAM);
   return Pass.run();
 }

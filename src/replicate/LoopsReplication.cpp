@@ -81,9 +81,9 @@ bool replaceJumpWithReversedTest(Function &F, int BIdx, int TestIdx) {
 }
 
 /// One LOOPS rewrite. Returns true on change.
-bool loopsOnce(Function &F, AnalysisCache &AC, ReplicationStats &S,
+bool loopsOnce(Function &F, AnalysisManager &AM, ReplicationStats &S,
                const obs::TraceConfig &Trace, int Round) {
-  const LoopInfo &LI = AC.loops();
+  const LoopInfo &LI = AM.loops();
   for (int B = 0; B < F.size(); ++B) {
     BasicBlock *Blk = F.block(B);
     if (!Blk->endsWithJump())
@@ -147,25 +147,25 @@ ReplicationValidator::~ReplicationValidator() = default;
 
 bool replicate::runLoops(Function &F, ReplicationStats *Stats,
                          const obs::TraceConfig &Trace,
-                         AnalysisCache *Analyses,
+                         AnalysisManager *Analyses,
                          ReplicationValidator *Validator) {
   ReplicationStats Local;
   ReplicationStats &S = Stats ? *Stats : Local;
-  // Without a caller-provided cache, fall back to a disabled local one:
+  // Without a caller-provided manager, fall back to a disabled local one:
   // every query recomputes, exactly the standalone behavior.
-  AnalysisCache LocalAC(F, /*Enabled=*/false);
-  AnalysisCache &AC = Analyses ? *Analyses : LocalAC;
+  AnalysisManager LocalAM(F, /*CacheEnabled=*/false);
+  AnalysisManager &AM = Analyses ? *Analyses : LocalAM;
   bool Changed = false;
   int Guard = 0;
   if (!Validator) {
-    while (loopsOnce(F, AC, S, Trace, Guard + 1) && Guard++ < 1000)
+    while (loopsOnce(F, AM, S, Trace, Guard + 1) && Guard++ < 1000)
       Changed = true;
   } else {
     // Same loop, but each applied rewrite is bracketed with a pre-state
     // clone so the validator sees exactly one rewrite per check.
     while (true) {
       std::unique_ptr<Function> Pre = F.clone();
-      if (!loopsOnce(F, AC, S, Trace, Guard + 1))
+      if (!loopsOnce(F, AM, S, Trace, Guard + 1))
         break;
       Validator->checkApplied(*Pre, F, "LOOPS", Guard + 1);
       Changed = true;

@@ -26,7 +26,7 @@
 #ifndef CODEREP_REPLICATE_REPLICATION_H
 #define CODEREP_REPLICATE_REPLICATION_H
 
-#include "cfg/AnalysisCache.h"
+#include "cfg/AnalysisManager.h"
 #include "cfg/Function.h"
 #include "obs/Trace.h"
 
@@ -127,20 +127,15 @@ struct ReplicationStats {
   }
 };
 
-class ShortestPathsCache;
-
 /// Generalized code replication. Returns true if the function changed.
-/// \p Cache, when given, carries the step-1 shortest-path matrix across
-/// rounds and across repeated invocations from the optimizer's fixpoint
-/// loop; it is revalidated against the flow graph before every reuse, so
-/// results are identical with or without it.
+/// Each round builds one step-1 shortest-path matrix and keeps it, stale,
+/// while the round's copies are spliced in (Section 4).
 /// \p Analyses, when given, serves (and is kept coherent with) the natural
-/// loop information the rounds need: step-6 rollbacks restore the cache to
-/// its pre-attempt snapshot, and without a cache every query recomputes.
+/// loop information the rounds need: step-6 rollbacks restore every slot
+/// to its pre-attempt snapshot. Without it every query recomputes.
 bool runJumps(cfg::Function &F, const ReplicationOptions &Options = {},
               ReplicationStats *Stats = nullptr,
-              ShortestPathsCache *Cache = nullptr,
-              cfg::AnalysisCache *Analyses = nullptr);
+              cfg::AnalysisManager *Analyses = nullptr);
 
 /// Loop-condition replication only. Returns true if the function changed.
 /// \p Trace, when enabled, receives one decision record per rewritten jump.
@@ -148,7 +143,7 @@ bool runJumps(cfg::Function &F, const ReplicationOptions &Options = {},
 /// \p Validator, when given, is told about every applied rewrite.
 bool runLoops(cfg::Function &F, ReplicationStats *Stats = nullptr,
               const obs::TraceConfig &Trace = {},
-              cfg::AnalysisCache *Analyses = nullptr,
+              cfg::AnalysisManager *Analyses = nullptr,
               ReplicationValidator *Validator = nullptr);
 
 } // namespace coderep::replicate

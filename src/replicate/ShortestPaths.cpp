@@ -226,55 +226,3 @@ std::vector<int> ShortestPaths::cheapestReturnPath(int From) const {
 std::vector<int> ShortestPaths::cheapestIndirectPath(int From) const {
   return cheapestEndingAt(From, IndirectBlocks);
 }
-
-uint64_t ShortestPaths::fingerprint(const Function &F) {
-  // FNV-1a over everything the matrix depends on.
-  uint64_t H = 1469598103934665603ull;
-  auto mix = [&H](uint64_t V) {
-    H ^= V;
-    H *= 1099511628211ull;
-  };
-  mix(static_cast<uint64_t>(F.size()));
-  for (int B = 0; B < F.size(); ++B) {
-    const BasicBlock *Blk = F.block(B);
-    mix(static_cast<uint64_t>(Blk->Label));
-    mix(static_cast<uint64_t>(Blk->rtlCount()));
-    auto T = Blk->terminator();
-    if (!T) {
-      mix(0xff);
-      continue;
-    }
-    mix(static_cast<uint64_t>(T->Op));
-    switch (T->Op) {
-    case rtl::Opcode::Jump:
-    case rtl::Opcode::CondJump:
-      mix(static_cast<uint64_t>(T->Target));
-      break;
-    case rtl::Opcode::SwitchJump:
-      for (int Label : T->Table)
-        mix(static_cast<uint64_t>(Label));
-      break;
-    default:
-      break;
-    }
-  }
-  return H;
-}
-
-ShortestPaths &ShortestPathsCache::get(const Function &F) {
-  uint64_t FP = ShortestPaths::fingerprint(F);
-  if (SP && FP == Fingerprint) {
-    ++Hits;
-    if (Trace)
-      Trace->metrics().add("sp.cache.hits", 1);
-    return *SP;
-  }
-  ++Misses;
-  if (Trace)
-    Trace->metrics().add("sp.cache.misses", 1);
-  Fingerprint = FP;
-  obs::ScopedTimer Span(Trace, "shortest-paths rebuild");
-  SP = std::make_unique<ShortestPaths>(F, ShortestPaths::Strategy::Lazy,
-                                       Trace);
-  return *SP;
-}

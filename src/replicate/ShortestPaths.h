@@ -21,12 +21,9 @@
 /// O(E log V) per row. JUMPS only ever queries rows whose source is the
 /// target of an unconditional jump, so most rows are never materialized.
 ///
-/// A ShortestPathsCache carries one instance across replication rounds and
-/// fixpoint iterations, revalidating it against a structural fingerprint
-/// of the function (see fingerprint()): when the passes that ran between
-/// two replication attempts left the flow graph and block sizes untouched,
-/// the cached rows - including everything already computed lazily - are
-/// reused instead of being recomputed.
+/// JUMPS builds one matrix per replication round and keeps it, stale,
+/// while the round splices in copies, as the paper describes (Section 4);
+/// nothing carries a matrix from one round to the next.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +35,6 @@
 #include "support/Arena.h"
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace coderep::replicate {
@@ -90,13 +86,6 @@ public:
   /// Rows materialized so far (== numBlocks() under Strategy::Dense).
   int rowsComputed() const { return NumRowsComputed; }
 
-  /// Structural fingerprint of \p F covering exactly what the matrix
-  /// depends on: the block sequence (labels in positional order), each
-  /// block's RTL count (the edge weights) and each block's terminator
-  /// shape (the edges). In-place rewrites that preserve instruction counts
-  /// and control flow do not change it.
-  static uint64_t fingerprint(const cfg::Function &F);
-
 private:
   /// One source row of the matrix; arrays of length N in the arena.
   struct Row {
@@ -129,43 +118,6 @@ private:
   mutable Arena RowArena;
   mutable std::vector<Row> Rows;
   mutable int NumRowsComputed = 0;
-};
-
-/// Carries a ShortestPaths instance across replication rounds and fixpoint
-/// iterations. get() revalidates the cached matrix against the function's
-/// structural fingerprint, so a hit is possible only when every cost and
-/// edge the matrix encodes is still current - in-place instruction
-/// rewrites that do not touch block sizes or terminators keep it valid.
-/// The fingerprint walk is O(blocks) per revalidation - noise next to the
-/// O(n^3) dense rebuild it replaces. (Function::cfgVersion() alone cannot
-/// gate the reuse: passes edit BasicBlock::Insns in place, which changes
-/// edges and weights without a block-list mutation.)
-class ShortestPathsCache {
-public:
-  /// Returns a matrix valid for the current state of \p F, reusing the
-  /// cached one when the fingerprint proves it is still exact.
-  ShortestPaths &get(const cfg::Function &F);
-
-  /// Drops the cached matrix unconditionally.
-  void invalidate() { SP.reset(); }
-
-  /// True while a matrix is cached (it may still fail fingerprint
-  /// revalidation on the next get()).
-  bool holdsMatrix() const { return SP != nullptr; }
-
-  /// Attaches a trace sink: every get() then bumps the "sp.cache.hits" /
-  /// "sp.cache.misses" metrics and misses are spanned as rebuilds.
-  void setTrace(obs::TraceSink *Sink) { Trace = Sink; }
-
-  int hits() const { return Hits; }
-  int misses() const { return Misses; }
-
-private:
-  std::unique_ptr<ShortestPaths> SP;
-  obs::TraceSink *Trace = nullptr;
-  uint64_t Fingerprint = 0;
-  int Hits = 0;
-  int Misses = 0;
 };
 
 } // namespace coderep::replicate

@@ -2,6 +2,7 @@
 
 #include "server/Protocol.h"
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -96,7 +97,9 @@ bool server::decodeRequest(const std::string &Payload, CompileRequest &Out,
     return fail(Err, "bad maxseq");
   if (!(In >> Word >> Growth) || Word != "growth")
     return fail(Err, "bad growth");
-  if (std::sscanf(Growth.c_str(), "%la", &Out.MaxGrowthFactor) != 1)
+  // %la also reads "nan" and "inf"; a budget factor must be a number.
+  if (std::sscanf(Growth.c_str(), "%la", &Out.MaxGrowthFactor) != 1 ||
+      !std::isfinite(Out.MaxGrowthFactor))
     return fail(Err, "bad growth value");
   if (!(In >> Word >> Out.MaxReplacements) || Word != "maxrepl")
     return fail(Err, "bad maxrepl");

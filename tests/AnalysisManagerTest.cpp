@@ -1,22 +1,21 @@
 //===- AnalysisManagerTest.cpp - Cached analyses + invalidation -------------===//
 //
 // The analysis manager holds the same bar as every other throughput layer:
-// serving FlatCfg/dominators/loops/liveness/shortest-paths from the cache
-// must be byte-identical to recomputing them at every query. These tests
-// pin the epoch protocol (block mutations and RTL-edit hooks move it,
-// rollback winds it back), the PreservedAnalyses commit filtering, the
+// serving FlatCfg/dominators/loops/liveness from the cache must be
+// byte-identical to recomputing them at every query. These tests pin the
+// epoch protocol (block mutations and RTL-edit hooks move it, rollback
+// winds it back), the PreservedAnalyses commit filtering, the
 // snapshot/restore path the JUMPS step-6 rollback uses, and the metrics
-// that make the savings auditable. The cached pipeline's byte identity
-// with the always-recompute mode is part of the reference differential
-// (ReferencePipelineTest.cpp).
+// and spans that make the savings auditable. The cached pipeline's byte
+// identity with the always-recompute mode is part of the reference
+// differential (ReferencePipelineTest.cpp).
 //
 //===----------------------------------------------------------------------===//
 
 #include "Suite.h"
-#include "cfg/AnalysisCache.h"
+#include "cfg/AnalysisManager.h"
 #include "driver/Compiler.h"
 #include "obs/Trace.h"
-#include "opt/AnalysisManager.h"
 #include "opt/Pipeline.h"
 
 #include <gtest/gtest.h>
@@ -105,7 +104,6 @@ TEST(PreservedAnalyses, SetAlgebra) {
   EXPECT_TRUE(Shape.preserved(AnalysisID::FlatCfg));
   EXPECT_TRUE(Shape.preserved(AnalysisID::Dominators));
   EXPECT_TRUE(Shape.preserved(AnalysisID::Loops));
-  EXPECT_TRUE(Shape.preserved(AnalysisID::ShortestPaths));
   EXPECT_FALSE(Shape.preserved(AnalysisID::Liveness))
       << "cfgShape drops dataflow";
 
@@ -223,54 +221,53 @@ TEST(AnalysisManagerUnit, CommitRespectsTheBeforeEpochInterval) {
       << "stale entry from before the pass started must not be restamped";
 }
 
-TEST(AnalysisManagerUnit, AbandoningShortestPathsDropsTheHeldMatrix) {
-  auto F = makeLoopFunction();
-  AnalysisManager AM(*F);
-  AM.shortestPaths().get(*F);
-  EXPECT_TRUE(AM.shortestPaths().holdsMatrix());
-
-  uint64_t Before = F->analysisEpoch();
-  F->noteRtlEdit();
-  AM.commit(Before,
-            PreservedAnalyses::cfgShape().abandon(AnalysisID::ShortestPaths));
-  EXPECT_FALSE(AM.shortestPaths().holdsMatrix());
-  AnalysisCounters A = AM.counters();
-  EXPECT_EQ(A.Invalidations[static_cast<int>(AnalysisID::ShortestPaths)], 1);
-
-  // The usual pass sets keep it held: it self-validates by fingerprint.
-  AM.shortestPaths().get(*F);
-  Before = F->analysisEpoch();
-  F->noteRtlEdit();
-  AM.commit(Before, PreservedAnalyses::none().preserve(
-                        AnalysisID::ShortestPaths));
-  EXPECT_TRUE(AM.shortestPaths().holdsMatrix());
-}
-
 //===----------------------------------------------------------------------===//
 // Snapshot / restore (the JUMPS step-6 rollback path)
 //===----------------------------------------------------------------------===//
 
-TEST(AnalysisCacheUnit, RestoreReinstatesEntriesAndEpoch) {
+TEST(AnalysisManagerUnit, RestoreReinstatesEntriesAndEpoch) {
   auto F = makeLoopFunction();
-  AnalysisCache AC(*F);
-  AC.loops();
-  ASSERT_TRUE(AC.valid(AnalysisCache::LoopsKind));
-  AnalysisCache::Snapshot Snap = AC.snapshot();
-  const int64_t HitsBefore = AC.counters().Hits[AnalysisCache::LoopsKind];
+  AnalysisManager AM(*F);
+  AM.loops();
+  AnalysisManager::Snapshot Snap = AM.snapshot();
+  const int LP = static_cast<int>(AnalysisID::Loops);
+  const int64_t HitsBefore = AM.counters().Hits[LP];
 
   // A speculative splice: insert a block, query (replacing the cached
   // entries), then roll the bytes back and restore the snapshot.
   F->insertBlock(1);
-  AC.loops();
+  AM.loops();
   F->eraseBlock(1);
-  AC.restore(Snap);
+  AM.restore(Snap);
 
   EXPECT_EQ(F->analysisEpoch(), Snap.Epoch);
-  EXPECT_TRUE(AC.valid(AnalysisCache::LoopsKind))
-      << "restored entries must serve the restored epoch";
-  AC.loops();
-  EXPECT_EQ(AC.counters().Hits[AnalysisCache::LoopsKind], HitsBefore + 1)
+  AM.loops();
+  EXPECT_EQ(AM.counters().Hits[LP], HitsBefore + 1)
       << "the query after restore must be a hit";
+}
+
+TEST(AnalysisManagerUnit, RestoreCoversLivenessAndDropsLaterEntries) {
+  auto F = makeLoopFunction();
+  AnalysisManager AM(*F);
+  const int LV = static_cast<int>(AnalysisID::Liveness);
+  AM.liveness(); // computed before the snapshot
+  AnalysisManager::Snapshot Snap = AM.snapshot();
+
+  // The attempt recomputes liveness on the edited function, replacing the
+  // slot, and is then rolled back byte for byte.
+  F->insertBlock(1);
+  AM.liveness();
+  F->eraseBlock(1);
+  const int64_t InvalidationsBefore = AM.counters().Invalidations[LV];
+  AM.restore(Snap);
+  EXPECT_EQ(AM.counters().Invalidations[LV], InvalidationsBefore + 1)
+      << "the entry computed after the snapshot must be dropped";
+
+  AM.liveness();
+  AnalysisCounters A = AM.counters();
+  EXPECT_EQ(A.Hits[LV], 1)
+      << "the entry computed before the snapshot must serve after restore";
+  EXPECT_EQ(A.Recomputes[LV], 2);
 }
 
 //===----------------------------------------------------------------------===//
@@ -300,6 +297,32 @@ TEST(AnalysisManagerObs, MetricsMirrorTheStatsCounters) {
   EXPECT_EQ(Sink.metrics().value("driver.analysis_recomputes"),
             A.totalRecomputes());
   EXPECT_GT(A.totalHits(), 0);
+}
+
+// A slow compile is explained by its spans only if every recompute has
+// one: the replication passes, the shape chain's inner queries and the
+// liveness build all recompute through the same manager slot.
+TEST(AnalysisManagerObs, EveryRecomputeHasItsSpan) {
+  for (const BenchProgram &BP : suite())
+    for (target::TargetKind TK :
+         {target::TargetKind::Sparc, target::TargetKind::M68}) {
+      obs::TraceSink Sink;
+      PipelineOptions Opts;
+      Opts.Trace.Sink = &Sink;
+      Compilation C = compile(BP.Source, TK, OptLevel::Jumps, &Opts);
+      ASSERT_TRUE(C.ok()) << C.Error;
+      const std::vector<obs::TraceEvent> Events = Sink.events();
+      for (int I = 0; I < NumAnalysisIDs; ++I) {
+        const std::string Name = analysisName(static_cast<AnalysisID>(I));
+        const std::string Span = "analysis: " + Name;
+        int64_t Begins = 0;
+        for (const obs::TraceEvent &E : Events)
+          Begins += E.Phase == obs::EventPhase::Begin && E.Name == Span;
+        EXPECT_EQ(Begins, Sink.metrics().value("analysis." + Name +
+                                               ".recomputes"))
+            << BP.Name << "/" << target::targetName(TK) << ": " << Name;
+      }
+    }
 }
 
 } // namespace

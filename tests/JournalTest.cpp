@@ -133,7 +133,7 @@ TEST(JournalTest, GoldenFigure1Compile) {
       "\"repl.loops_completed\": 0, \"repl.step5_retargets\": 0, "
       "\"repl.stub_jumps_added\": 0, \"fixpoint.rounds\": 3, "
       "\"fixpoint.passes_run\": 17, \"fixpoint.passes_skipped\": 7, "
-      "\"analysis.hits\": 25, \"analysis.recomputes\": 21, "
+      "\"analysis.hits\": 24, \"analysis.recomputes\": 18, "
       "\"analysis.invalidations\": 12, \"rtls_out\": 13}}\n");
 }
 

@@ -2,14 +2,13 @@
 //
 // The one differential oracle of the compile-throughput machinery. The
 // default pipeline layers change-driven pass scheduling, the fused local
-// sweep and the analysis cache (the shortest-path matrix included) on top
-// of the paper's Figure-3 loop; PipelineOptions::Reference turns all of
-// them off at once. Every suite config (14 programs x 2 targets x 3
-// levels) and 200 random programs (at JUMPS and at level seed%3) must
-// compile to the same bytes either way, with the same semantic counters,
-// while the counters that measure the avoided work obey exact identities.
-// The default pipeline's own analysis and scheduling counters over the
-// suite are pinned to recorded sums.
+// sweep and the analysis cache on top of the paper's Figure-3 loop;
+// PipelineOptions::Reference turns all of them off at once. Every suite
+// config (14 programs x 2 targets x 3 levels) and 200 random programs (at
+// JUMPS and at level seed%3) must compile to the same bytes either way,
+// with the same semantic counters, while the counters that measure the
+// avoided work obey exact identities. The default pipeline's own analysis
+// and scheduling counters over the suite are pinned to recorded sums.
 //
 //===----------------------------------------------------------------------===//
 
@@ -118,7 +117,7 @@ class ReferenceVsDefault : public ::testing::TestWithParam<DiffParam> {};
 TEST_P(ReferenceVsDefault, ByteIdenticalWithMatchingCounters) {
   const opt::PipelineOptions Default;
   const opt::PipelineOptions Reference = referenceOptions();
-  const int LV = static_cast<int>(opt::AnalysisID::Liveness);
+  const int LV = static_cast<int>(cfg::AnalysisID::Liveness);
   int64_t DefaultLiveness = 0, ReferenceLiveness = 0;
 
   for (const Config &C : configsFor(GetParam())) {
@@ -146,13 +145,11 @@ TEST_P(ReferenceVsDefault, ByteIdenticalWithMatchingCounters) {
               (opt::NumFixpointPasses - 2) * Rounds)
         << C.Name;
 
-    // The reference never serves an analysis from a cache, the step-1
-    // shortest-path matrix included.
-    for (int I = 0; I < opt::NumAnalysisIDs; ++I)
+    // The reference never serves an analysis from a cache.
+    for (int I = 0; I < cfg::NumAnalysisIDs; ++I)
       EXPECT_EQ(RS.Analysis.Hits[I], 0)
           << C.Name << ": the reference served a cached "
-          << opt::analysisName(static_cast<opt::AnalysisID>(I));
-    EXPECT_EQ(RS.SpCacheHits, 0) << C.Name;
+          << cfg::analysisName(static_cast<cfg::AnalysisID>(I));
 
     DefaultLiveness += DS.Analysis.Recomputes[LV];
     ReferenceLiveness += RS.Analysis.Recomputes[LV];
@@ -237,19 +234,18 @@ TEST(DefaultPipeline, SuiteAnalysisAndScheduleCountersArePinned) {
         Sum += compileWith(BP.Source, TK, Level, Default).Stats;
 
   struct Pinned {
-    opt::AnalysisID ID;
+    cfg::AnalysisID ID;
     int64_t Hits, Recomputes, Invalidations;
   };
   const Pinned Analyses[] = {
-      {opt::AnalysisID::FlatCfg, 2694, 1515, 506},
-      {opt::AnalysisID::Dominators, 500, 1372, 363},
-      {opt::AnalysisID::Loops, 1349, 1372, 363},
-      {opt::AnalysisID::Liveness, 636, 1076, 1076},
-      {opt::AnalysisID::ShortestPaths, 2, 278, 0},
+      {cfg::AnalysisID::FlatCfg, 2694, 1515, 506},
+      {cfg::AnalysisID::Dominators, 500, 1372, 363},
+      {cfg::AnalysisID::Loops, 1349, 1372, 363},
+      {cfg::AnalysisID::Liveness, 636, 1076, 1076},
   };
   for (const Pinned &P : Analyses) {
     const int I = static_cast<int>(P.ID);
-    const char *Name = opt::analysisName(P.ID);
+    const char *Name = cfg::analysisName(P.ID);
     EXPECT_EQ(Sum.Analysis.Hits[I], P.Hits) << Name;
     EXPECT_EQ(Sum.Analysis.Recomputes[I], P.Recomputes) << Name;
     EXPECT_EQ(Sum.Analysis.Invalidations[I], P.Invalidations) << Name;

@@ -3,6 +3,7 @@
 #include "replicate/Replication.h"
 
 #include "cfg/CfgAnalysis.h"
+#include "cfg/FunctionPrinter.h"
 #include "ease/Interp.h"
 #include "replicate/ShortestPaths.h"
 
@@ -274,6 +275,18 @@ TEST(JumpsReplication, GrowthBudgetRespected) {
       O.MaxGrowthFactor * std::max<int64_t>(F->rtlCount(), 64));
   runJumps(*F, O);
   EXPECT_LE(F->rtlCount(), Budget);
+}
+
+TEST(JumpsReplication, HugeGrowthFactorIsAnUnlimitedBudget) {
+  // The budget saturates instead of overflowing its integer conversion.
+  ReplicationOptions O;
+  O.MaxGrowthFactor = 1e9;
+  auto Large = whileLoop();
+  EXPECT_TRUE(runJumps(*Large, O));
+  O.MaxGrowthFactor = 1e300;
+  auto Huge = whileLoop();
+  EXPECT_TRUE(runJumps(*Huge, O));
+  EXPECT_EQ(toString(*Huge), toString(*Large));
 }
 
 TEST(JumpsReplication, RemovesJumpToNext) {

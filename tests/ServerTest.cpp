@@ -158,6 +158,25 @@ TEST(ServerProtocol, RejectsCorruptPayloads) {
   EXPECT_FALSE(server::decodeRequest(BadHeur, Out, Err));
 }
 
+// The growth factor sizes the replication budget, so a value that is not
+// a finite number is rejected at the boundary.
+TEST(ServerProtocol, RejectsNonFiniteGrowth) {
+  server::CompileRequest R;
+  R.Source = "int main() { return 0; }";
+  const std::string Good = server::encodeRequest(R);
+  const size_t At = Good.find("growth ");
+  ASSERT_NE(At, std::string::npos);
+  const size_t End = Good.find('\n', At);
+  for (const char *Value : {"nan", "-nan", "inf", "-inf"}) {
+    std::string Bad = Good;
+    Bad.replace(At, End - At, std::string("growth ") + Value);
+    server::CompileRequest Out;
+    std::string Err;
+    EXPECT_FALSE(server::decodeRequest(Bad, Out, Err)) << Value;
+    EXPECT_EQ(Err, "bad growth value") << Value;
+  }
+}
+
 TEST(CompileServer, ServesByteIdenticalRtlAndWarmsCache) {
   TestServer TS("identity");
   server::Client Conn;

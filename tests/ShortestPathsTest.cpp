@@ -25,7 +25,6 @@ using namespace coderep;
 using namespace coderep::cfg;
 using namespace coderep::rtl;
 using replicate::ShortestPaths;
-using replicate::ShortestPathsCache;
 
 namespace {
 
@@ -118,41 +117,6 @@ TEST(ShortestPaths, DiamondTieBreaksDeterministically) {
   // Single-hop rows too.
   EXPECT_EQ(Lazy.path(1, 3), (std::vector<int>{1}));
   EXPECT_EQ(Lazy.cost(1, 3), 2);
-}
-
-TEST(ShortestPathsCache, FingerprintCatchesInPlaceEdits) {
-  Function F("cached");
-  int L1 = F.freshLabel(), L0 = F.freshLabel();
-  BasicBlock *B0 = F.appendBlockWithLabel(L0);
-  B0->Insns.push_back(Insn::move(vr(0), Operand::imm(7)));
-  BasicBlock *B1 = F.appendBlockWithLabel(L1);
-  B1->Insns.push_back(Insn::move(vr(1), Operand::imm(8)));
-  B1->Insns.push_back(Insn::ret());
-
-  ShortestPathsCache Cache;
-  ShortestPaths &A = Cache.get(F);
-  EXPECT_EQ(Cache.misses(), 1);
-  EXPECT_EQ(&Cache.get(F), &A);
-  EXPECT_EQ(Cache.hits(), 1);
-
-  // An in-place instruction edit never goes through the block-list
-  // mutators, so only the fingerprint can notice it.
-  B0->Insns.push_back(Insn::move(vr(2), Operand::imm(9)));
-  Cache.get(F);
-  EXPECT_EQ(Cache.misses(), 2);
-  EXPECT_EQ(Cache.hits(), 1);
-
-  // Same block count and RTL counts, different edge: retarget a jump.
-  B0->Insns.push_back(Insn::jump(L1));
-  Cache.get(F);
-  int Misses = Cache.misses();
-  B0->Insns.back().Target = L0; // now a self loop
-  Cache.get(F);
-  EXPECT_EQ(Cache.misses(), Misses + 1);
-
-  Cache.invalidate();
-  Cache.get(F);
-  EXPECT_EQ(Cache.misses(), Misses + 2);
 }
 
 TEST(ThreadPool, StressSubmitAndParallelFor) {
