@@ -305,11 +305,9 @@ int main(int argc, char **argv) {
                "{\n  \"suite\": \"Table 3 programs, both targets\",\n"
                "  \"repetitions\": %d,\n  \"jobs\": 1,\n"
                "  \"baseline\": \"reference pipeline: rerun-everything "
-               "fixpoint loop, unfused register passes, every analysis "
-               "recomputed per query\",\n"
+               "fixpoint loop, every analysis recomputed per query\",\n"
                "  \"optimized\": \"default pipeline: change-driven pass "
-               "scheduling, fused local sweep, epoch-stamped analysis "
-               "manager\",\n"
+               "scheduling, epoch-stamped analysis manager\",\n"
                "  %s,\n  \"programs\": [\n%s\n  ]\n}\n",
                Reps, Totals.c_str(), ProgramsJson.c_str());
   std::fclose(F);

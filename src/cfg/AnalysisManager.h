@@ -84,7 +84,7 @@ public:
   static PreservedAnalyses none() { return PreservedAnalyses(); }
 
   /// Everything survives: for a change that cannot perturb any cached
-  /// analysis (the fused local sweep, whose sub-passes commit their own).
+  /// analysis.
   static PreservedAnalyses all() {
     PreservedAnalyses P;
     P.Mask = static_cast<uint8_t>((1u << NumAnalysisIDs) - 1);

@@ -38,9 +38,9 @@ struct MetricEntry {
 };
 
 /// Unit string inferred from a metric's dotted name: "us" for a *_us
-/// suffix or a "_us." path component ("pipeline.fixpoint_us.code motion"),
-/// "bytes" likewise, otherwise "count". Shared by the metrics JSON export
-/// and the histogram export so the two halves agree.
+/// suffix or a "_us." path component ("pass_us.code motion"), "bytes"
+/// likewise, otherwise "count". Shared by the metrics JSON export and the
+/// histogram export so the two halves agree.
 inline const char *metricUnit(const std::string &Name) {
   auto tagged = [&](const char *Suffix) {
     size_t N = std::char_traits<char>::length(Suffix);

@@ -11,10 +11,12 @@
 /// one is attached) and adds the elapsed microseconds to an accumulator
 /// (when one is given) - the pipeline's PhaseMicros counters are such
 /// accumulators. With neither, construction and destruction do no work at
-/// all: no clock read, no allocation. A sink whose events are muted
-/// (TraceSink::setEventsEnabled(false)) counts as absent: the muted
-/// configuration is the always-on-telemetry deployment, and spans must
-/// cost nothing there beyond what an accumulator demands.
+/// all: no clock read, no allocation. The name is copied into an owned
+/// string only when an event will be recorded, so an untraced span
+/// allocates nothing for it, however long the literal. A sink whose
+/// events are muted (TraceSink::setEventsEnabled(false)) counts as absent:
+/// the muted configuration is the always-on-telemetry deployment, and
+/// spans must cost nothing there beyond what an accumulator demands.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +26,7 @@
 #include "obs/Trace.h"
 
 #include <chrono>
+#include <string_view>
 
 namespace coderep::obs {
 
@@ -33,8 +36,8 @@ class ScopedTimer {
 public:
   /// \p Sink may be null (no events). \p AccumUs may be null (no
   /// accumulation). \p Args is the begin-event's JSON args body.
-  ScopedTimer(TraceSink *Sink, std::string Name, int64_t *AccumUs = nullptr,
-              std::string Args = {})
+  ScopedTimer(TraceSink *Sink, std::string_view Name,
+              int64_t *AccumUs = nullptr, std::string Args = {})
       : Sink(Sink && Sink->eventsEnabled() ? Sink : nullptr),
         AccumUs(AccumUs) {
     Sink = this->Sink;
@@ -42,7 +45,7 @@ public:
       return;
     Start = std::chrono::steady_clock::now();
     if (Sink) {
-      this->Name = std::move(Name);
+      this->Name = Name;
       Sink->begin(this->Name, std::move(Args));
     }
   }

@@ -51,7 +51,7 @@ struct ExprKeyHash {
 /// here is ever iterated - so the layout cannot perturb decisions, and
 /// the extended-basic-block inheritance copy (one per single-pred block)
 /// is a handful of memcpys instead of a node-by-node tree clone. This
-/// table sits on the hottest path of the fused local sweep.
+/// table sits on the hottest path of the fixpoint loop's local passes.
 struct ValueTable {
   std::vector<int> RegVN;    ///< register -> value number (-1 = none)
   std::unordered_map<ExprKey, int, ExprKeyHash>

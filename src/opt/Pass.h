@@ -92,24 +92,6 @@ PassResult runCodeMotion(cfg::Function &F, cfg::AnalysisManager &AM);
 /// multiplications of loop induction variables become running sums.
 PassResult runStrengthReduction(cfg::Function &F, cfg::AnalysisManager &AM);
 
-/// The two segments of the fused register-level sweep, matching where its
-/// sub-passes sit in the Figure-3 round (they are not adjacent there -
-/// code motion, strength reduction and instruction selection run in
-/// between - and the passes are not confluent, so fusing across that gap
-/// would change output bytes; see FusedLocalSweep.cpp).
-enum class FusedSegment {
-  CseDeadVars,          ///< local CSE, then dead variable elimination
-  BranchChainConstFold, ///< branch chaining, then constant folding
-};
-
-/// The fused register-level sweep (the default pipeline's
-/// Phase::FusedLocalSweep slots): runs one segment's sub-passes back to
-/// back as a single schedulable unit, committing each changed sub-pass's
-/// own result to \p AM. Byte-identical to scheduling the passes
-/// individually, as PipelineOptions::Reference does.
-PassResult runFusedLocalSweep(cfg::Function &F, const target::Target &T,
-                              cfg::AnalysisManager &AM, FusedSegment Segment);
-
 /// Register assignment (Figure 3): promotes the word-sized scalar locals
 /// and parameters whose address is never taken (Function::PromotableLocals)
 /// from their frame slots into virtual registers, inserting entry loads

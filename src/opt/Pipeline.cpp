@@ -80,10 +80,8 @@ PipelineStats &PipelineStats::operator+=(const PipelineStats &Other) {
   FunctionCacheHits += Other.FunctionCacheHits;
   FunctionCacheMisses += Other.FunctionCacheMisses;
   Analysis += Other.Analysis;
-  for (int I = 0; I < NumPhases; ++I) {
+  for (int I = 0; I < NumPhases; ++I)
     PhaseMicros[I] += Other.PhaseMicros[I];
-    FixpointPhaseMicros[I] += Other.FixpointPhaseMicros[I];
-  }
   return *this;
 }
 
@@ -96,16 +94,12 @@ namespace {
 struct TelemetryKeys {
   std::string FnCompileUs = "fn.compile_us";
   std::string PassUs[NumPhases];
-  std::string FixpointUs[NumPhases];
   std::string AnalysisHits[NumAnalysisIDs];
   std::string AnalysisRecomputes[NumAnalysisIDs];
   std::string AnalysisInvalidations[NumAnalysisIDs];
   TelemetryKeys() {
-    for (int I = 0; I < NumPhases; ++I) {
+    for (int I = 0; I < NumPhases; ++I)
       PassUs[I] = std::string("pass_us.") + phaseName(static_cast<Phase>(I));
-      FixpointUs[I] = std::string("pipeline.fixpoint_us.") +
-                      phaseName(static_cast<Phase>(I));
-    }
     for (int I = 0; I < NumAnalysisIDs; ++I) {
       const std::string Name = analysisName(static_cast<AnalysisID>(I));
       AnalysisHits[I] = "analysis." + Name + ".hits";
@@ -191,18 +185,12 @@ static PassResult runReplication(Function &F, const PipelineOptions &Options,
                                  AnalysisManager &AM) {
   // Replication splices in copied blocks and retargets edges, so a change
   // preserves no shape or dataflow result.
-  switch (Options.Level) {
-  case OptLevel::Simple:
+  if (Options.Level == OptLevel::Simple)
     return {};
-  case OptLevel::Loops:
-    return {replicate::runLoops(F, &Stats, Options.Replication.Trace, &AM,
-                                Options.Replication.Validator),
-            PreservedAnalyses::none()};
-  case OptLevel::Jumps:
-    return {replicate::runJumps(F, Options.Replication, &Stats, &AM),
-            PreservedAnalyses::none()};
-  }
-  CODEREP_UNREACHABLE("bad optimization level");
+  auto *Algorithm = Options.Level == OptLevel::Jumps ? replicate::runJumps
+                                                     : replicate::runLoops;
+  return {Algorithm(F, Options.Replication, &Stats, &AM),
+          PreservedAnalyses::none()};
 }
 
 /// Optimizes one function in place (optimizeProgram's per-function step).
@@ -270,11 +258,7 @@ static void optimizeFunction(Function &F, const target::Target &T,
     const int64_t MicrosBefore = Micros;
     PassResult R;
     {
-      // The name string is only materialized when a span will actually be
-      // recorded (some phase names exceed SSO and would heap-allocate).
-      obs::ScopedTimer Span(
-          EvSink, EvSink ? std::string(phaseName(Ph)) : std::string(),
-          &Micros);
+      obs::ScopedTimer Span(EvSink, phaseName(Ph), &Micros);
       const uint64_t Before = F.analysisEpoch();
       R = Pass(Args...);
       if (R.Changed)
@@ -289,11 +273,10 @@ static void optimizeFunction(Function &F, const target::Target &T,
 
   // The mutation-testing self-check: reverse the first conditional branch
   // once, right after a constant-folding body, so the verify subsystem can
-  // prove it detects (and attributes) a real miscompile. That body runs in
-  // the constant-folding slot under the reference schedule and at the end
-  // of the fused tail segment otherwise, and both wrap their result here.
+  // prove it detects (and attributes) a real miscompile.
   bool MutationDone = false;
-  auto thenMutate = [&](PassResult R) {
+  auto foldConstantsThenMutate = [&] {
+    const PassResult R = runConstantFolding(F);
     if (!Options.MutateForTesting || MutationDone)
       return R;
     for (int B = 0; B < F.size(); ++B)
@@ -325,27 +308,12 @@ static void optimizeFunction(Function &F, const target::Target &T,
   if (runPass(Phase::RegisterAssignment, runRegisterAssignment, F))
     runPass(Phase::InstructionSelection, runInstructionSelection, F, T, AM);
 
-  // The fixpoint loop of Figure 3. One case per slot, in loop order, so
+  // The fixpoint loop of Figure 3: one slot per pass, in loop order, so
   // the scheduled and reference drivers below execute identical bodies.
-  // Outside the reference pipeline, the FpLocalCse slot runs the fused
-  // head segment (CSE + dead variables), the FpBranchChain slot runs the
-  // fused tail segment (branch chaining + constant folding), and the two
-  // subsumed slots never run (or count) at all; their dirty bits are
-  // masked out of the scheduler below. The matrix rows stay valid because
-  // every row raises the bits {LocalCse, DeadVars, BranchChain, ConstFold}
-  // together - a segment's slot bit is set exactly when both of its
-  // sub-passes' bits would be, so the segment runs its two bodies at
-  // exactly the points the unfused scheduler runs them.
-  const bool Reference = Options.Reference;
-  const uint16_t SubsumedByFused =
-      Reference ? 0
-                : static_cast<uint16_t>(fpBit(FpDeadVars) | fpBit(FpConstFold));
   auto runFixpointPass = [&](int P) -> bool {
     switch (P) {
     case FpLocalCse:
-      return Reference ? runPass(Phase::LocalCse, runLocalCse, F, T, AM)
-                       : runPass(Phase::FusedLocalSweep, runFusedLocalSweep, F,
-                                 T, AM, FusedSegment::CseDeadVars);
+      return runPass(Phase::LocalCse, runLocalCse, F, T, AM);
     case FpDeadVars:
       return runPass(Phase::DeadVariableElim, runDeadVariableElim, F, AM);
     case FpCodeMotion:
@@ -356,14 +324,9 @@ static void optimizeFunction(Function &F, const target::Target &T,
       return runPass(Phase::InstructionSelection, runInstructionSelection, F,
                      T, AM);
     case FpBranchChain:
-      return Reference ? runPass(Phase::BranchChaining, runBranchChaining, F)
-                       : runPass(Phase::FusedLocalSweep, [&] {
-                           return thenMutate(runFusedLocalSweep(
-                               F, T, AM, FusedSegment::BranchChainConstFold));
-                         });
+      return runPass(Phase::BranchChaining, runBranchChaining, F);
     case FpConstFold:
-      return runPass(Phase::ConstantFolding,
-                     [&] { return thenMutate(runConstantFolding(F)); });
+      return runPass(Phase::ConstantFolding, foldConstantsThenMutate);
     case FpReplicate:
       return runPass(Phase::Replication, runReplication, F, Options,
                      Stats.Replication, AM);
@@ -375,13 +338,6 @@ static void optimizeFunction(Function &F, const target::Target &T,
     CODEREP_UNREACHABLE("bad fixpoint pass");
   };
 
-  int Iter = 0;
-  // Attribute the loop's slice of each phase's time: everything the
-  // PhaseMicros slots accrue between here and loop exit happened inside a
-  // fixpoint round.
-  int64_t LoopBase[NumPhases];
-  for (int I = 0; I < NumPhases; ++I)
-    LoopBase[I] = Stats.PhaseMicros[I];
   // The reference pipeline is the paper-literal loop: rerun the whole
   // battery while anything changed. Otherwise a pass body runs only while
   // its dirty bit is set, and a change raises the dirty bits of every pass
@@ -395,7 +351,9 @@ static void optimizeFunction(Function &F, const target::Target &T,
   // all-clean round - where the reference burns the full battery to
   // discover convergence - the scheduler executes only the handful of
   // passes the last change could have perturbed.
-  uint16_t Dirty = AllFixpointPasses & static_cast<uint16_t>(~SubsumedByFused);
+  const bool Reference = Options.Reference;
+  int Iter = 0;
+  uint16_t Dirty = AllFixpointPasses;
   bool Changed = true;
   while ((Reference ? Changed : Dirty != 0) &&
          Iter < Options.MaxFixpointIterations) {
@@ -408,8 +366,6 @@ static void optimizeFunction(Function &F, const target::Target &T,
                : std::string());
     CurRound = Iter;
     for (int P = 0; P < NumFixpointPasses; ++P) {
-      if (SubsumedByFused & fpBit(P))
-        continue; // body runs inside the fused slot; not a skip
       if (!Reference && !(Dirty & fpBit(P))) {
         ++Stats.FixpointPassesSkipped;
         continue;
@@ -418,7 +374,7 @@ static void optimizeFunction(Function &F, const target::Target &T,
       ++Stats.FixpointPassesRun;
       if (runFixpointPass(P)) {
         Changed = true;
-        Dirty |= static_cast<uint16_t>(Invalidates[P] & ~SubsumedByFused);
+        Dirty |= Invalidates[P];
       }
     }
     F.verify();
@@ -431,8 +387,6 @@ static void optimizeFunction(Function &F, const target::Target &T,
   if (!Reference && !Dirty)
     ++Stats.QuiescentRounds;
   Stats.FixpointIterations = Iter;
-  for (int I = 0; I < NumPhases; ++I)
-    Stats.FixpointPhaseMicros[I] = Stats.PhaseMicros[I] - LoopBase[I];
 
   CurRound = -1;
   runPass(Phase::RegisterAllocation, runRegisterAllocation, F, T, AM);
@@ -521,9 +475,6 @@ static void optimizeFunction(Function &F, const target::Target &T,
     M.add("pipeline.fixpoint_passes_run", Stats.FixpointPassesRun);
     M.add("pipeline.fixpoint_passes_skipped", Stats.FixpointPassesSkipped);
     M.add("pipeline.quiescent_rounds", Stats.QuiescentRounds);
-    for (int I = 0; I < NumPhases; ++I)
-      if (Stats.FixpointPhaseMicros[I])
-        M.add(K.FixpointUs[I], Stats.FixpointPhaseMicros[I]);
     for (int I = 0; I < NumAnalysisIDs; ++I) {
       M.add(K.AnalysisHits[I], A.Hits[I]);
       M.add(K.AnalysisRecomputes[I], A.Recomputes[I]);

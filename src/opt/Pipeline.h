@@ -33,7 +33,6 @@
 ///  * the fixpoint battery is scheduled by a pass-invalidation matrix with
 ///    per-pass dirty bits, so passes whose inputs no prior change could
 ///    have perturbed are skipped instead of rerun (DESIGN.md section 10);
-///  * the four register-level fixpoint passes run as two fused sweeps;
 ///  * analyses are served from a per-function cfg::AnalysisManager;
 ///  * optimizeProgram fans independent functions out over a thread pool
 ///    (PipelineOptions::Jobs) with per-task stats merged deterministically;
@@ -190,16 +189,15 @@ struct PipelineOptions {
   int Jobs = 1;
 
   /// The reference pipeline: the paper-literal Figure-3 loop with none of
-  /// the compile-throughput machinery. Every fixpoint pass reruns every
-  /// round while anything changes (no pass-invalidation scheduling); local
-  /// CSE, dead variable elimination, branch chaining and constant folding
-  /// run as four separate slots (no fused sweep); and every CFG/dataflow
-  /// analysis, the step-1 shortest-path matrix included, is recomputed at
-  /// every query (no analysis cache). The default pipeline is
-  /// differentially tested against this mode (ReferencePipelineTest.cpp)
-  /// and bench_compile uses it as its baseline. Output is byte-identical
-  /// either way, so like Jobs it is NOT folded into
-  /// FunctionOptimizationCache keys.
+  /// the compile-throughput machinery. Both pipelines run the same ten
+  /// fixpoint slots; the reference differs in two ways only: every
+  /// fixpoint pass reruns every round while anything changes (no
+  /// pass-invalidation scheduling), and every CFG/dataflow analysis, the
+  /// step-1 shortest-path matrix included, is recomputed at every query
+  /// (no analysis cache). The default pipeline is differentially tested
+  /// against this mode (ReferencePipelineTest.cpp) and bench_compile uses
+  /// it as its baseline. Output is byte-identical either way, so like Jobs
+  /// it is NOT folded into FunctionOptimizationCache keys.
   bool Reference = false;
 
   /// When set, optimizeProgram memoizes optimized function bodies keyed by
@@ -247,7 +245,7 @@ enum class Phase {
   ConstantFolding,
   RegisterAllocation,
   DelaySlotFilling,
-  FusedLocalSweep, ///< Cse+DeadVars+BranchChain+ConstFold in one sweep
+  FusedLocalSweep, ///< charged by no pass; kept because bench/e2e names it
 };
 inline constexpr int NumPhases = 15;
 
@@ -275,12 +273,11 @@ struct PipelineStats {
 
   /// Change-driven scheduling counters for the Figure-3 fixpoint loop.
   /// The scheduled and reference drivers execute identical round counts
-  /// (a change always leaves a dirty bit that survives its round). The
-  /// reference counts every body as Run and skips nothing, so its Run ==
-  /// NumFixpointPasses * rounds. The default schedule dispatches two fused
-  /// slots in place of four passes, so its Run + Skipped ==
-  /// (NumFixpointPasses - 2) * rounds, and Skipped counts exactly the
-  /// slots the invalidation matrix avoided.
+  /// (a change always leaves a dirty bit that survives its round) over the
+  /// same ten slots, so Run + Skipped == NumFixpointPasses * rounds in
+  /// both. The reference runs every slot and skips nothing; in the default
+  /// schedule Skipped counts exactly the slots the invalidation matrix
+  /// avoided.
   int64_t FixpointPassesRun = 0;
   int64_t FixpointPassesSkipped = 0;
 
@@ -303,11 +300,6 @@ struct PipelineStats {
   /// Wall-clock microseconds spent inside each pass, summed over every
   /// invocation (most passes run once per fixpoint iteration).
   int64_t PhaseMicros[NumPhases] = {};
-
-  /// The share of PhaseMicros accrued inside the Figure-3 fixpoint loop
-  /// (a phase like branch chaining also runs outside it; this slice is
-  /// what the loop itself pays, which is what pass fusion targets).
-  int64_t FixpointPhaseMicros[NumPhases] = {};
 
   /// Sum of PhaseMicros.
   int64_t totalMicros() const;

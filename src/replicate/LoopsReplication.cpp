@@ -145,10 +145,8 @@ bool loopsOnce(Function &F, AnalysisManager &AM, ReplicationStats &S,
 // Out-of-line anchor for the validation hook's vtable.
 ReplicationValidator::~ReplicationValidator() = default;
 
-bool replicate::runLoops(Function &F, ReplicationStats *Stats,
-                         const obs::TraceConfig &Trace,
-                         AnalysisManager *Analyses,
-                         ReplicationValidator *Validator) {
+bool replicate::runLoops(Function &F, const ReplicationOptions &Options,
+                         ReplicationStats *Stats, AnalysisManager *Analyses) {
   ReplicationStats Local;
   ReplicationStats &S = Stats ? *Stats : Local;
   // Without a caller-provided manager, fall back to a disabled local one:
@@ -156,22 +154,17 @@ bool replicate::runLoops(Function &F, ReplicationStats *Stats,
   AnalysisManager LocalAM(F, /*CacheEnabled=*/false);
   AnalysisManager &AM = Analyses ? *Analyses : LocalAM;
   bool Changed = false;
-  int Guard = 0;
-  if (!Validator) {
-    while (loopsOnce(F, AM, S, Trace, Guard + 1) && Guard++ < 1000)
-      Changed = true;
-  } else {
-    // Same loop, but each applied rewrite is bracketed with a pre-state
-    // clone so the validator sees exactly one rewrite per check.
-    while (true) {
-      std::unique_ptr<Function> Pre = F.clone();
-      if (!loopsOnce(F, AM, S, Trace, Guard + 1))
-        break;
-      Validator->checkApplied(*Pre, F, "LOOPS", Guard + 1);
-      Changed = true;
-      if (Guard++ >= 1000)
-        break;
-    }
+  for (int Round = 1;; ++Round) {
+    // Under a validator each rewrite is bracketed with a pre-state clone,
+    // so the validator sees exactly one rewrite per check.
+    std::unique_ptr<Function> Pre = Options.Validator ? F.clone() : nullptr;
+    if (!loopsOnce(F, AM, S, Options.Trace, Round))
+      break;
+    if (Pre)
+      Options.Validator->checkApplied(*Pre, F, "LOOPS", Round);
+    Changed = true;
+    if (Round > 1000) // every rewrite removes a jump; this only backstops
+      break;
   }
   if (Changed)
     removeUnreachableBlocks(F);

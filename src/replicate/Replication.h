@@ -138,13 +138,12 @@ bool runJumps(cfg::Function &F, const ReplicationOptions &Options = {},
               cfg::AnalysisManager *Analyses = nullptr);
 
 /// Loop-condition replication only. Returns true if the function changed.
-/// \p Trace, when enabled, receives one decision record per rewritten jump.
-/// \p Analyses, when given, serves the per-round loop queries.
-/// \p Validator, when given, is told about every applied rewrite.
-bool runLoops(cfg::Function &F, ReplicationStats *Stats = nullptr,
-              const obs::TraceConfig &Trace = {},
-              cfg::AnalysisManager *Analyses = nullptr,
-              ReplicationValidator *Validator = nullptr);
+/// Of \p Options it reads only Trace (one decision record per rewritten
+/// jump) and Validator (told about every applied rewrite). \p Analyses,
+/// when given, serves the per-round loop queries.
+bool runLoops(cfg::Function &F, const ReplicationOptions &Options = {},
+              ReplicationStats *Stats = nullptr,
+              cfg::AnalysisManager *Analyses = nullptr);
 
 } // namespace coderep::replicate
 

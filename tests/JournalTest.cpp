@@ -132,8 +132,8 @@ TEST(JournalTest, GoldenFigure1Compile) {
       "\"repl.skipped_growth_budget\": 0, \"repl.skipped_no_candidate\": 0, "
       "\"repl.loops_completed\": 0, \"repl.step5_retargets\": 0, "
       "\"repl.stub_jumps_added\": 0, \"fixpoint.rounds\": 3, "
-      "\"fixpoint.passes_run\": 17, \"fixpoint.passes_skipped\": 7, "
-      "\"analysis.hits\": 24, \"analysis.recomputes\": 18, "
+      "\"fixpoint.passes_run\": 21, \"fixpoint.passes_skipped\": 9, "
+      "\"analysis.hits\": 23, \"analysis.recomputes\": 18, "
       "\"analysis.invalidations\": 12, \"rtls_out\": 13}}\n");
 }
 

@@ -1,14 +1,14 @@
 //===- ReferencePipelineTest.cpp - Default pipeline vs the reference ---------===//
 //
 // The one differential oracle of the compile-throughput machinery. The
-// default pipeline layers change-driven pass scheduling, the fused local
-// sweep and the analysis cache on top of the paper's Figure-3 loop;
-// PipelineOptions::Reference turns all of them off at once. Every suite
-// config (14 programs x 2 targets x 3 levels) and 200 random programs (at
-// JUMPS and at level seed%3) must compile to the same bytes either way,
-// with the same semantic counters, while the counters that measure the
-// avoided work obey exact identities. The default pipeline's own analysis
-// and scheduling counters over the suite are pinned to recorded sums.
+// default pipeline layers change-driven pass scheduling and the analysis
+// cache on top of the paper's Figure-3 loop; PipelineOptions::Reference
+// turns both off at once. Every suite config (14 programs x 2 targets x
+// 3 levels) and 200 random programs (at JUMPS and at level seed%3) must
+// compile to the same bytes either way, with the same semantic counters,
+// while the counters that measure the avoided work obey exact identities.
+// The default pipeline's own analysis and scheduling counters over the
+// suite are pinned to recorded sums.
 //
 //===----------------------------------------------------------------------===//
 
@@ -125,8 +125,7 @@ TEST_P(ReferenceVsDefault, ByteIdenticalWithMatchingCounters) {
     const Compiled R = compileWith(C.Source, C.TK, C.Level, Reference);
     ASSERT_EQ(D.Text, R.Text) << C.Name << "\n" << C.Source;
 
-    // Skipping a clean pass is running it and seeing "no change", and the
-    // fused segments run their sub-passes at the reference's points, so
+    // Skipping a clean pass is running it and seeing "no change", so
     // every semantic quantity agrees.
     const opt::PipelineStats &DS = D.Stats, &RS = R.Stats;
     EXPECT_EQ(DS.FixpointIterations, RS.FixpointIterations) << C.Name;
@@ -134,15 +133,15 @@ TEST_P(ReferenceVsDefault, ByteIdenticalWithMatchingCounters) {
         << C.Name;
     EXPECT_EQ(DS.DelaySlotNops, RS.DelaySlotNops) << C.Name;
 
-    // Pass accounting: the reference runs all ten slots every round; the
-    // default dispatches eight (two fused slots replace four passes), each
-    // either run or skipped.
+    // Pass accounting: both pipelines dispatch the same ten slots every
+    // round; the reference runs all of them, the default runs or skips
+    // each.
     const int64_t Rounds = RS.FixpointIterations;
     EXPECT_EQ(RS.FixpointPassesRun, opt::NumFixpointPasses * Rounds) << C.Name;
     EXPECT_EQ(RS.FixpointPassesSkipped, 0) << C.Name;
     EXPECT_EQ(RS.QuiescentRounds, 0) << C.Name;
     EXPECT_EQ(DS.FixpointPassesRun + DS.FixpointPassesSkipped,
-              (opt::NumFixpointPasses - 2) * Rounds)
+              opt::NumFixpointPasses * Rounds)
         << C.Name;
 
     // The reference never serves an analysis from a cache.
@@ -241,7 +240,7 @@ TEST(DefaultPipeline, SuiteAnalysisAndScheduleCountersArePinned) {
       {cfg::AnalysisID::FlatCfg, 2694, 1515, 506},
       {cfg::AnalysisID::Dominators, 500, 1372, 363},
       {cfg::AnalysisID::Loops, 1349, 1372, 363},
-      {cfg::AnalysisID::Liveness, 636, 1076, 1076},
+      {cfg::AnalysisID::Liveness, 603, 1076, 1076},
   };
   for (const Pinned &P : Analyses) {
     const int I = static_cast<int>(P.ID);
@@ -250,8 +249,8 @@ TEST(DefaultPipeline, SuiteAnalysisAndScheduleCountersArePinned) {
     EXPECT_EQ(Sum.Analysis.Recomputes[I], P.Recomputes) << Name;
     EXPECT_EQ(Sum.Analysis.Invalidations[I], P.Invalidations) << Name;
   }
-  EXPECT_EQ(Sum.FixpointPassesRun, 2300);
-  EXPECT_EQ(Sum.FixpointPassesSkipped, 812);
+  EXPECT_EQ(Sum.FixpointPassesRun, 2897);
+  EXPECT_EQ(Sum.FixpointPassesSkipped, 993);
   EXPECT_EQ(Sum.QuiescentRounds, 174);
 }
 

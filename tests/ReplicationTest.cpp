@@ -140,7 +140,7 @@ TEST(LoopsReplication, RotatesWhileLoop) {
   auto F = whileLoop();
   int32_t Before = execute(*F);
   ReplicationStats Stats;
-  EXPECT_TRUE(runLoops(*F, &Stats));
+  EXPECT_TRUE(runLoops(*F, {}, &Stats));
   F->verify();
   EXPECT_EQ(execute(*F), Before);
   EXPECT_EQ(jumpCount(*F), 0);
@@ -152,7 +152,7 @@ TEST(LoopsReplication, RemovesForLoopEntryJump) {
   auto F = forLoop();
   int32_t Before = execute(*F);
   ReplicationStats Stats;
-  EXPECT_TRUE(runLoops(*F, &Stats));
+  EXPECT_TRUE(runLoops(*F, {}, &Stats));
   F->verify();
   EXPECT_EQ(execute(*F), Before);
   EXPECT_EQ(jumpCount(*F), 0);

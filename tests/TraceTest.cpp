@@ -147,10 +147,10 @@ TEST(DecisionLogTest, GoldenFigure2StepFiveRetargets) {
 TEST(DecisionLogTest, GoldenWhileLoopLoops) {
   auto F = whileLoop();
   TraceSink Sink;
-  TraceConfig Trace;
-  Trace.Sink = &Sink;
+  replicate::ReplicationOptions Options;
+  Options.Trace.Sink = &Sink;
   replicate::ReplicationStats Stats;
-  EXPECT_TRUE(replicate::runLoops(*F, &Stats, Trace));
+  EXPECT_TRUE(replicate::runLoops(*F, Options, &Stats));
   EXPECT_EQ(Stats.JumpsReplaced, 1);
 
   // LOOPS considers exactly one candidate: the loop's termination test.
