@@ -1,7 +1,9 @@
-//===- PaperTables.cpp - Every suite-wide number of the evaluation --------===//
+//===- PaperTables.cpp - Every table and figure of the evaluation ---------===//
 
 #include "PaperTables.h"
 
+#include "cfg/CfgAnalysis.h"
+#include "cfg/FunctionPrinter.h"
 #include "support/Check.h"
 #include "support/Format.h"
 
@@ -12,11 +14,199 @@
 
 using namespace coderep;
 using namespace coderep::bench;
+using namespace coderep::rtl;
 
 namespace {
 
 using target::TargetKind;
 using opt::OptLevel;
+
+//===----------------------------------------------------------------------===//
+// Tables 1-2 and Figures 1-2: the motivating listings
+//===----------------------------------------------------------------------===//
+
+/// Table 1's loop, whose exit test sits in the middle: "do { if (i >= n)
+/// break; x[i-1] = x[i]; i++; } while(1)" after front-end lowering.
+const char *const Table1Source = R"(
+    char x[128];
+    int n;
+    int main() {
+      int i;
+      n = 100;
+      for (i = 0; i < 128; i++)
+        x[i] = i;
+      i = 1;
+      while (1) {
+        if (i >= n)
+          break;
+        x[i - 1] = x[i];
+        i++;
+      }
+      return x[0];
+    }
+  )";
+
+/// Table 2's if-then-else, whose join is the function return: with
+/// replication the jump over the else part becomes a copy of the epilogue.
+const char *const Table2Source = R"(
+    int i;
+    int n;
+    int f() {
+      if (i > 5)
+        i = i / n;
+      else
+        i = i * n;
+      return i;
+    }
+    int main() {
+      int total;
+      total = 0;
+      for (i = 0; i < 20; i++) {
+        n = 3;
+        total += f();
+      }
+      i = 40;
+      n = 4;
+      return f() + total;
+    }
+  )";
+
+const char *yesNo(bool B) { return B ? "yes" : "no"; }
+
+/// Compiles \p Src for the 68020-like target without and then with
+/// replication, heads each result and hands it to \p Listing.
+template <typename ListingFn>
+void withoutAndWith(const char *Src, std::string &Out, ListingFn Listing) {
+  for (OptLevel Level : {OptLevel::Simple, OptLevel::Jumps}) {
+    const driver::Compilation C = driver::compile(Src, TargetKind::M68, Level);
+    CODEREP_CHECK(C.ok(), "a paper listing failed to compile");
+    Out += format("=== %s replication ===\n",
+                  Level == OptLevel::Simple ? "without" : "with");
+    Listing(*C.Prog);
+  }
+}
+
+/// The whole program and what it executed: with JUMPS the per-iteration
+/// unconditional jump is gone.
+void table1(std::string &Out) {
+  Out += "Table 1: Exit Condition in the Middle of a Loop "
+         "(RTLs for the 68020-like target)\n\n";
+  withoutAndWith(Table1Source, Out, [&Out](const cfg::Program &P) {
+    Out += cfg::toString(P);
+    const ease::RunResult R = ease::run(P, ease::RunOptions());
+    Out += format("executed %llu RTLs, %llu unconditional jumps "
+                  "(exit code %d)\n\n",
+                  static_cast<unsigned long long>(R.Stats.Executed),
+                  static_cast<unsigned long long>(R.Stats.UncondJumps),
+                  R.ExitCode);
+  });
+}
+
+/// Function f and the program's static jump count: the two paths of f
+/// return separately.
+void table2(std::string &Out) {
+  Out += "Table 2: If-Then-Else Statement "
+         "(RTLs for the 68020-like target)\n\n";
+  withoutAndWith(Table2Source, Out, [&Out](const cfg::Program &P) {
+    Out += cfg::toString(*P.Functions[P.findFunction("f")]) + "\n";
+    Out += format("static unconditional jumps in program: %d\n\n",
+                  driver::staticStats(P).UncondJumps);
+  });
+}
+
+/// Figure 1's flow graph, an unconditional jump from outside a loop to
+/// its header:
+///   1 -> 2,3;  2 -> 4 (the unconditional jump);  3 -> 4 (fall)
+///   4 -> 5 (loop header, also exits to 7);  5 -> 6;  6 -> 4 (back edge)
+///   7: return.
+std::unique_ptr<cfg::Function> buildFigure1() {
+  auto F = std::make_unique<cfg::Function>("fig1");
+  int L[8];
+  for (int I = 1; I <= 7; ++I)
+    L[I] = F->freshLabel();
+  auto add = [&](int Label, std::vector<Insn> Insns) {
+    F->appendBlockWithLabel(Label)->Insns = std::move(Insns);
+  };
+  Operand R0 = Operand::reg(FirstVirtual);
+  add(L[1], {Insn::compare(R0, Operand::imm(0)),
+             Insn::condJump(CondCode::Ge, L[3])});
+  add(L[2], {Insn::binary(Opcode::Add, R0, R0, Operand::imm(1)),
+             Insn::jump(L[4])});
+  add(L[3], {Insn::binary(Opcode::Add, R0, R0, Operand::imm(2))});
+  add(L[4], {Insn::compare(R0, Operand::imm(100)),
+             Insn::condJump(CondCode::Ge, L[7])});
+  add(L[5], {Insn::binary(Opcode::Add, R0, R0, Operand::imm(3))});
+  add(L[6], {Insn::binary(Opcode::Add, R0, R0, Operand::imm(5)),
+             Insn::jump(L[4])});
+  add(L[7], {Insn::move(Operand::reg(RegRV), R0),
+             Insn::move(Operand::reg(RegSP), Operand::reg(RegFP)),
+             Insn::ret()});
+  F->verify();
+  return F;
+}
+
+/// Copying only the header would give the loop two entries, so JUMPS
+/// step 3 pulls the whole loop into the copy.
+void figure1(std::string &Out) {
+  Out += "Figure 1: Interference with Natural Loops\n\n";
+  auto F = buildFigure1();
+  Out += "=== before replication ===\n" + cfg::toString(*F) + "\n";
+  Out += format("natural loops: %zu, reducible: %s\n\n",
+                cfg::LoopInfo(*F).loops().size(), yesNo(cfg::isReducible(*F)));
+
+  replicate::ReplicationStats Stats;
+  replicate::runJumps(*F, replicate::ReplicationOptions(), &Stats);
+  Out += "=== after JUMPS ===\n" + cfg::toString(*F) + "\n";
+  int Jumps = 0;
+  for (int B = 0; B < F->size(); ++B)
+    Jumps += F->block(B)->endsWithJump() ? 1 : 0;
+  Out += format("jumps replaced: %d, whole loops pulled into the copy "
+                "(step 3): %d\n",
+                Stats.JumpsReplaced, Stats.LoopsCompleted);
+  Out += format("natural loops: %zu, reducible: %s, remaining jumps: %d\n",
+                cfg::LoopInfo(*F).loops().size(), yesNo(cfg::isReducible(*F)),
+                Jumps);
+}
+
+/// Replicating block 1 naively would leave block 2's branch on the
+/// original, making two partially overlapping loops; JUMPS step 5
+/// retargets it to the copy, so the loops stay properly nested.
+void figure2(std::string &Out) {
+  Out += "Figure 2: Partial Overlapping of Natural Loops\n\n";
+  auto F = buildFigure2();
+  Out += "=== before replication ===\n" + cfg::toString(*F) + "\n";
+
+  replicate::ReplicationStats Stats;
+  replicate::runJumps(*F, replicate::ReplicationOptions(), &Stats);
+  Out += "=== after JUMPS ===\n" + cfg::toString(*F) + "\n";
+  const cfg::LoopInfo LI(*F);
+  Out += format("jumps replaced: %d, step-5 branch retargets: %d, rolled "
+                "back (step 6): %d\n",
+                Stats.JumpsReplaced, Stats.Step5Retargets,
+                Stats.RolledBackIrreducible);
+  Out += format("natural loops: %zu, reducible: %s\n", LI.loops().size(),
+                yesNo(cfg::isReducible(*F)));
+  // Properly nested: any two loops are disjoint or one holds the other.
+  bool Nested = true;
+  const auto &Loops = LI.loops();
+  for (size_t A = 0; A < Loops.size(); ++A)
+    for (size_t B = A + 1; B < Loops.size(); ++B) {
+      int Common = 0, OnlyA = 0, OnlyB = 0;
+      for (int Blk : Loops[A].Blocks)
+        (Loops[B].contains(Blk) ? Common : OnlyA)++;
+      for (int Blk : Loops[B].Blocks)
+        if (!Loops[A].contains(Blk))
+          ++OnlyB;
+      if (Common && OnlyA && OnlyB)
+        Nested = false;
+    }
+  Out += format("loops properly nested (no partial overlap): %s\n",
+                yesNo(Nested));
+}
+
+//===----------------------------------------------------------------------===//
+// Figure 3 onward: the suite-wide batch
+//===----------------------------------------------------------------------===//
 
 const TargetKind Targets[] = {TargetKind::Sparc, TargetKind::M68};
 const OptLevel Levels[] = {OptLevel::Simple, OptLevel::Loops, OptLevel::Jumps};
@@ -378,9 +568,37 @@ std::vector<MeasureRequest> paperTableRequests() {
 
 } // namespace
 
+std::unique_ptr<cfg::Function> bench::buildFigure2() {
+  auto F = std::make_unique<cfg::Function>("fig2");
+  int L[5];
+  for (int I = 1; I <= 4; ++I)
+    L[I] = F->freshLabel();
+  auto add = [&](int Label, std::vector<Insn> Insns) {
+    F->appendBlockWithLabel(Label)->Insns = std::move(Insns);
+  };
+  Operand R0 = Operand::reg(FirstVirtual);
+  add(L[1], {Insn::binary(Opcode::Add, R0, R0, Operand::imm(1)),
+             Insn::compare(R0, Operand::imm(50)),
+             Insn::condJump(CondCode::Ge, L[4])});
+  add(L[2], {Insn::binary(Opcode::Add, R0, R0, Operand::imm(2)),
+             Insn::compare(R0, Operand::imm(10)),
+             Insn::condJump(CondCode::Lt, L[1])});
+  add(L[3], {Insn::binary(Opcode::Add, R0, R0, Operand::imm(3)),
+             Insn::jump(L[1])});
+  add(L[4], {Insn::move(Operand::reg(RegRV), R0),
+             Insn::move(Operand::reg(RegSP), Operand::reg(RegFP)),
+             Insn::ret()});
+  F->verify();
+  return F;
+}
+
 std::string bench::paperTables(unsigned Threads, obs::TraceSink *Trace) {
-  const Batch B(measureAll(paperTableRequests(), Threads, Trace));
   std::string Out;
+  table1(Out);
+  table2(Out);
+  figure1(Out);
+  figure2(Out);
+  const Batch B(measureAll(paperTableRequests(), Threads, Trace));
   figure3(B, Out);
   table4(B, Out);
   table5(B, Out);

@@ -1,5 +1,6 @@
-//===- paper_tables.cpp - Prints every suite-wide number of the evaluation ===//
+//===- paper_tables.cpp - Prints every table and figure of the evaluation -===//
 //
+// Tables 1 and 2 and Figures 1 and 2 (the motivating listings), then
 // Figure 3's pipeline activity, Tables 4, 5 and 6, the Section 5.2 SPARC
 // statistics and the two ablations (step-2 heuristic, Section 6 sequence
 // cap), all from one batch of 196 compile+runs spread over every core

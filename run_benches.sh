@@ -5,9 +5,7 @@ set -e
 cd "$(dirname "$0")"
 
 # Refuse to produce a partial report: every bench binary must exist.
-ALL_BENCHES="table1_loop_exit table2_if_then_else fig1_natural_loops \
-         fig2_overlap paper_tables bench_compile bench_report \
-         micro_algorithms"
+ALL_BENCHES="paper_tables bench_compile bench_report micro_algorithms"
 MISSING=""
 for b in $ALL_BENCHES; do
   if [ ! -x "./build/bench/$b" ]; then
@@ -20,12 +18,9 @@ if [ -n "$MISSING" ]; then
   exit 1
 fi
 
-for b in table1_loop_exit table2_if_then_else fig1_natural_loops \
-         fig2_overlap paper_tables; do
-  echo "##### bench/$b #####"
-  ./build/bench/$b
-  echo
-done
+echo "##### bench/paper_tables #####"
+./build/bench/paper_tables
+echo
 echo "##### bench/bench_compile #####"
 ./build/bench/bench_compile BENCH_compile.json
 echo

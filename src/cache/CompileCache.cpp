@@ -47,7 +47,7 @@ std::string PipelineCache::keyFor(const cfg::Function &F,
   Key += T.name();
   Key += '\n';
   line("level", static_cast<int>(Options.Level));
-  line("maxiter", Options.MaxFixpointIterations);
+  line("maxiter", opt::MaxFixpointRounds);
   // The mutation-testing flag deliberately miscompiles, so it is as
   // semantic as the optimization level. (The Verifier itself is
   // byte-neutral and stays out, like Jobs.)
@@ -95,11 +95,6 @@ struct PipelineCache::Entry {
   std::string Key; ///< full key material, compared verbatim on every hit
   std::unique_ptr<cfg::Function> Body; ///< the optimized result
   opt::PipelineStats Semantic; ///< decision counters only (see semanticOnly)
-
-  /// Translation-validation metadata: the body passed its oracle checks
-  /// when first compiled. Key-independent - verification cannot perturb
-  /// bytes - so hits under any verifier config may trust it.
-  bool Verified = false;
 };
 
 namespace {
@@ -146,7 +141,7 @@ bool PipelineCache::applyEntry(const Entry &E, cfg::Function &F,
 // One entry per file, line-oriented and fully numeric except for the
 // length-prefixed key material:
 //
-//   coderep-pipeline-cache 1
+//   coderep-pipeline-cache 3
 //   key <bytes>\n<raw key material>
 //   frame <FrameBytes> <ParamBytes>
 //   limits <labelLimit> <vregLimit>
@@ -156,6 +151,7 @@ bool PipelineCache::applyEntry(const Entry &E, cfg::Function &F,
 //   block <label> <ninsns> <hasSlot>
 //   i <op> <cond> <target> <callee> <ntable> <labels...> <dst> <src1> <src2>
 //   ...
+//   slot <as for i>            (only when hasSlot)
 //   end
 //
 // Operands serialize as "<kind> <base> <disp> <index> <scale> <sym> <size>".
@@ -216,9 +212,8 @@ bool readInsn(std::istream &In, const char *Tag, rtl::Insn &I) {
 
 void serializeEntry(std::ostream &Out, const PipelineCache::Entry &E) {
   const cfg::Function &F = *E.Body;
-  Out << "coderep-pipeline-cache 2\n";
+  Out << "coderep-pipeline-cache 3\n";
   Out << "key " << E.Key.size() << "\n" << E.Key << "\n";
-  Out << "verified " << (E.Verified ? 1 : 0) << "\n";
   Out << "frame " << F.FrameBytes << " " << F.ParamBytes << "\n";
   Out << "limits " << F.labelLimit() << " " << F.vregLimit() << "\n";
   Out << "promotable " << F.PromotableLocals.size();
@@ -248,10 +243,9 @@ void serializeEntry(std::ostream &Out, const PipelineCache::Entry &E) {
 std::unique_ptr<PipelineCache::Entry> deserializeEntry(std::istream &In) {
   std::string Word;
   int Version = 0;
-  // Version 1 predates the verified flag AND the v1 key schema, whose keys
-  // can never equal a current key; rejecting it degrades to a clean miss.
+  // Files an older build wrote (versions 1 and 2) degrade to a clean miss.
   if (!(In >> Word >> Version) || Word != "coderep-pipeline-cache" ||
-      Version != 2)
+      Version != 3)
     return nullptr;
 
   size_t KeyLen = 0;
@@ -265,10 +259,6 @@ std::unique_ptr<PipelineCache::Entry> deserializeEntry(std::istream &In) {
   auto E = std::make_unique<PipelineCache::Entry>();
   E->Key = std::move(Key);
 
-  int Verified = 0;
-  if (!(In >> Word >> Verified) || Word != "verified")
-    return nullptr;
-  E->Verified = Verified != 0;
   // The stored Name is not needed: hits keep the live function's Name.
   E->Body = std::make_unique<cfg::Function>("<cached>");
   cfg::Function &F = *E->Body;
@@ -475,35 +465,6 @@ void PipelineCache::store(const std::string &Key, const cfg::Function &F,
   insertLocked(Hash, std::move(E));
 }
 
-void PipelineCache::noteVerified(const std::string &Key) {
-  const uint64_t Hash = fnv1a64(Key);
-  std::string Bytes;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    auto It = Index.find(Hash);
-    if (It == Index.end() || (*It->second)->Key != Key ||
-        (*It->second)->Verified)
-      return;
-    (*It->second)->Verified = true;
-    if (!DiskDir.empty()) {
-      // Serialize under the lock (the entry could be evicted after it is
-      // dropped); the file write itself happens outside.
-      std::ostringstream Out;
-      serializeEntry(Out, **It->second);
-      Bytes = Out.str();
-    }
-  }
-  if (!Bytes.empty() && writeDiskFile(Hash, Bytes)) {
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      ++DiskWrites;
-    }
-    // Rewriting replaces the old file's bytes, but counting the full size
-    // again only errs toward earlier eviction; the next scan corrects it.
-    accountDiskWrite(static_cast<int64_t>(Bytes.size()));
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Disk budget
 //===----------------------------------------------------------------------===//
@@ -580,14 +541,6 @@ void PipelineCache::enforceBudgetLocked() {
   }
 }
 
-bool PipelineCache::wasVerified(const std::string &Key) const {
-  const uint64_t Hash = fnv1a64(Key);
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Index.find(Hash);
-  return It != Index.end() && (*It->second)->Key == Key &&
-         (*It->second)->Verified;
-}
-
 int64_t PipelineCache::hits() const {
   std::lock_guard<std::mutex> Lock(Mu);
   return Hits;
@@ -620,14 +573,6 @@ size_t PipelineCache::entries() const {
   std::lock_guard<std::mutex> Lock(Mu);
   return Lru.size();
 }
-size_t PipelineCache::verifiedEntries() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  size_t N = 0;
-  for (const auto &E : Lru)
-    N += E->Verified ? 1 : 0;
-  return N;
-}
-
 void PipelineCache::publishMetrics(obs::MetricsRegistry &M) const {
   {
     std::lock_guard<std::mutex> Lock(Mu);
@@ -635,10 +580,6 @@ void PipelineCache::publishMetrics(obs::MetricsRegistry &M) const {
     M.set("pipeline_cache.evictions", Evictions);
     M.set("pipeline_cache.disk_hits", DiskHits);
     M.set("pipeline_cache.disk_writes", DiskWrites);
-    int64_t Verified = 0;
-    for (const auto &E : Lru)
-      Verified += E->Verified ? 1 : 0;
-    M.set("pipeline_cache.verified_entries", Verified);
   }
   std::lock_guard<std::mutex> Lock(DiskMu);
   M.set("pipeline_cache.disk_evictions", DiskEvictions);

@@ -77,12 +77,6 @@ public:
   void store(const std::string &Key, const cfg::Function &F,
              const opt::PipelineStats &Delta) override;
 
-  /// Key-independent verification metadata (see the base class): marks the
-  /// stored entry and rewrites its disk file so the flag survives the
-  /// process. Verification never changes bytes, so the key is untouched.
-  void noteVerified(const std::string &Key) override;
-  bool wasVerified(const std::string &Key) const override;
-
   // Counters (monotonic over the cache's lifetime).
   int64_t hits() const;       ///< in-memory hits
   int64_t misses() const;     ///< lookups that found nothing anywhere
@@ -92,7 +86,6 @@ public:
   int64_t diskEvictions() const; ///< entry files removed by the budget
   int64_t diskBytes() const;  ///< last known total on-disk size (-1 unknown)
   size_t entries() const;     ///< current in-memory entry count
-  size_t verifiedEntries() const; ///< entries marked via noteVerified
 
   /// Publishes the counters as "pipeline_cache.*" gauges (entries,
   /// evictions, disk_hits, disk_writes; hit/miss deltas are added by

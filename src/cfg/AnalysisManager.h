@@ -83,14 +83,6 @@ public:
   /// Nothing survives: the default for structural passes.
   static PreservedAnalyses none() { return PreservedAnalyses(); }
 
-  /// Everything survives: for a change that cannot perturb any cached
-  /// analysis.
-  static PreservedAnalyses all() {
-    PreservedAnalyses P;
-    P.Mask = static_cast<uint8_t>((1u << NumAnalysisIDs) - 1);
-    return P;
-  }
-
   /// The flow-graph-shape analyses survive, dataflow is dropped: the set
   /// for passes that rewrite or delete plain computations inside blocks
   /// but never touch a transfer, create or remove a block, or retarget an
@@ -104,10 +96,6 @@ public:
 
   PreservedAnalyses &preserve(AnalysisID ID) {
     Mask |= bit(ID);
-    return *this;
-  }
-  PreservedAnalyses &abandon(AnalysisID ID) {
-    Mask &= static_cast<uint8_t>(~bit(ID));
     return *this;
   }
   bool preserved(AnalysisID ID) const { return (Mask & bit(ID)) != 0; }

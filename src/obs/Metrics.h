@@ -8,7 +8,7 @@
 /// \file
 /// A thread-safe registry of named 64-bit counters: the flat-metrics half
 /// of the observability layer. Producers add deltas under dotted names
-/// ("replicate.sp_rows_computed", "fn.main.jumps_replaced"); consumers
+/// ("replicate.sp_rows_computed", "pipeline.quiescent_rounds"); consumers
 /// snapshot the whole registry or export it as a JSON object with keys in
 /// sorted order, so two runs of a deterministic workload produce
 /// byte-identical metrics files.

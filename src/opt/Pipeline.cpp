@@ -356,7 +356,7 @@ static void optimizeFunction(Function &F, const target::Target &T,
   uint16_t Dirty = AllFixpointPasses;
   bool Changed = true;
   while ((Reference ? Changed : Dirty != 0) &&
-         Iter < Options.MaxFixpointIterations) {
+         Iter < MaxFixpointRounds) {
     ++Iter;
     Changed = false;
     obs::ScopedTimer IterSpan(
@@ -458,20 +458,6 @@ static void optimizeFunction(Function &F, const target::Target &T,
   if (Sink) {
     const TelemetryKeys &K = telemetryKeys();
     obs::MetricsRegistry &M = Sink->metrics();
-    if (EvSink) {
-      // Per-function-name breakdown metrics are timeline/debugging data
-      // like decision records: they obey the events switch. The muted
-      // always-on configuration keeps the aggregates below, and the
-      // journal already carries the same per-function values.
-      M.add("fn." + F.Name + ".jumps_replaced", R.JumpsReplaced);
-      M.add("fn." + F.Name + ".rollbacks_irreducible",
-            R.RolledBackIrreducible);
-      M.add("fn." + F.Name + ".fixpoint_rounds", Iter);
-      M.set("fn." + F.Name + ".rtls_out", F.rtlCount());
-      M.add("fn." + F.Name + ".fixpoint_passes_run", Stats.FixpointPassesRun);
-      M.add("fn." + F.Name + ".fixpoint_passes_skipped",
-            Stats.FixpointPassesSkipped);
-    }
     M.add("pipeline.fixpoint_passes_run", Stats.FixpointPassesRun);
     M.add("pipeline.fixpoint_passes_skipped", Stats.FixpointPassesSkipped);
     M.add("pipeline.quiescent_rounds", Stats.QuiescentRounds);
@@ -533,8 +519,6 @@ void opt::optimizeProgram(Program &P, const target::Target &T,
     optimizeFunction(F, T, Options, Local, JR);
     ++Local.FunctionCacheMisses;
     Cache->store(Key, F, Local);
-    if (Options.Verifier && Options.Verifier->functionVerifiedClean(F.Name))
-      Cache->noteVerified(Key);
   };
 
   unsigned Jobs = Options.Jobs == 0 ? std::thread::hardware_concurrency()

@@ -68,8 +68,10 @@ enum class Phase;
 /// previously optimized body wholesale or optimizes and publishes the
 /// result. Keys are derived purely from content, and a deterministic
 /// optimizer maps equal keys to equal bodies, so serving a hit is
-/// byte-identical to recompiling. Implementations must be thread-safe:
-/// optimizeProgram consults the cache from every worker when Jobs > 1.
+/// byte-identical to recompiling. A FunctionVerifier is byte-neutral and
+/// not part of keys, so a verifying compile takes hits unchecked.
+/// Implementations must be thread-safe: optimizeProgram consults the cache
+/// from every worker when Jobs > 1.
 class FunctionOptimizationCache {
 public:
   virtual ~FunctionOptimizationCache() = default;
@@ -95,14 +97,9 @@ public:
   virtual void store(const std::string &Key, const cfg::Function &F,
                      const PipelineStats &Delta) = 0;
 
-  /// Marks \p Key's stored entry as translation-validated. Verification is
-  /// byte-neutral and therefore NOT part of content keys, so a hit can be
-  /// served to a verifying compile without re-verifying; this
-  /// key-independent metadata records that the body passed its checks when
-  /// it was first compiled. Default no-op for caches that don't persist it.
+  /// Unused by the pipeline; kept only because bench/e2e's TimedCache
+  /// overrides them.
   virtual void noteVerified(const std::string &Key) { (void)Key; }
-
-  /// True when \p Key's entry is present and was marked verified.
   virtual bool wasVerified(const std::string &Key) const {
     (void)Key;
     return false;
@@ -150,8 +147,7 @@ public:
   virtual std::unique_ptr<Session> makeSession(const cfg::Function &F) = 0;
 
   /// True when every check run against function \p Name came back clean;
-  /// optimizeProgram uses this to mark freshly stored cache entries as
-  /// verified (FunctionOptimizationCache::noteVerified).
+  /// the function's journal record reports it as its "verify" outcome.
   virtual bool functionVerifiedClean(const std::string &Name) const = 0;
 
   /// Publishes the verifier's counters as "verify.*" metrics (called by
@@ -180,7 +176,6 @@ inline constexpr support::NamedValue<OptLevel> OptLevelNames[] = {
 struct PipelineOptions {
   OptLevel Level = OptLevel::Simple;
   replicate::ReplicationOptions Replication;
-  int MaxFixpointIterations = 16;
 
   /// Functions optimized concurrently by optimizeProgram (functions are
   /// independent, so the fan-out is safe): 1 = serial, 0 = hardware
@@ -215,9 +210,8 @@ struct PipelineOptions {
   /// session per function and reports every pass invocation into it. The
   /// verifier only observes (byte-neutral), so like Jobs it is NOT folded
   /// into FunctionOptimizationCache keys; cache hits therefore bypass
-  /// re-verification, and freshly stored bodies that verified clean are
-  /// marked via FunctionOptimizationCache::noteVerified instead. Not
-  /// owned. See verify/Oracle.h and verify/VerifyCli.h.
+  /// verification, and only compiles that miss are checked. Not owned.
+  /// See verify/Oracle.h and verify/VerifyCli.h.
   FunctionVerifier *Verifier = nullptr;
 
   /// Hidden mutation-testing flag: right after the first constant-folding
@@ -261,7 +255,7 @@ const char *phaseName(Phase P);
 /// shared PipelineStats from more than one thread.
 struct PipelineStats {
   replicate::ReplicationStats Replication;
-  /// Fixpoint rounds executed, at most MaxFixpointIterations per function.
+  /// Fixpoint rounds executed, at most MaxFixpointRounds per function.
   int FixpointIterations = 0;
   int DelaySlotNops = 0; ///< Nops emitted for unfillable delay slots
 
@@ -282,7 +276,7 @@ struct PipelineStats {
   int64_t FixpointPassesSkipped = 0;
 
   /// Final verification rounds: one per function whose scheduled fixpoint
-  /// loop converged within MaxFixpointIterations. The reference loop burns
+  /// loop converged within MaxFixpointRounds. The reference loop burns
   /// the whole battery on that round to discover that nothing changes and
   /// does not count it; the scheduler executes only the passes the last
   /// change could have perturbed and skips the rest.
@@ -312,6 +306,10 @@ struct PipelineStats {
 /// Number of passes inside the Figure-3 fixpoint loop (the unit of the
 /// FixpointPassesRun/Skipped counters).
 inline constexpr int NumFixpointPasses = 10;
+
+/// Cap on the Figure-3 fixpoint loop's rounds per function. Function cache
+/// keys still carry it (their "maxiter" line).
+inline constexpr int MaxFixpointRounds = 16;
 
 /// Optimizes every function of \p P, which must already be legal for \p T
 /// (see Target::legalizeFunction). With Options.Jobs != 1 the functions

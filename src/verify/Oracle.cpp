@@ -49,6 +49,12 @@ std::string verify::formatReport(const VerifyReport &R) {
 
 namespace {
 
+/// Bytes of the random initial memory image laid over the globals.
+constexpr size_t MemImageBytes = 512;
+
+/// Mismatch reports kept; the counters keep counting past them.
+constexpr size_t MaxReports = 16;
+
 /// splitmix64 finalizer; decorrelates the (seed, input, function) triple
 /// before it feeds the xorshift generator.
 uint64_t mix(uint64_t X) {
@@ -85,7 +91,7 @@ ProbeInput deriveInput(const OracleOptions &O, const std::string &Fn,
   In.Args.resize(4);
   for (int32_t &A : In.Args)
     A = static_cast<int32_t>(G.range(-999, 999));
-  In.MemImage.resize(static_cast<size_t>(O.MemImageBytes));
+  In.MemImage.resize(MemImageBytes);
   for (uint8_t &B : In.MemImage)
     B = static_cast<uint8_t>(G.next());
   return In;
@@ -349,7 +355,7 @@ void Oracle::record(VerifyReport R) {
   std::lock_guard<std::mutex> Lock(Mu);
   ++Counters.Mismatches;
   Dirty.insert(R.Function);
-  if (static_cast<int>(Reports.size()) < Opts.MaxReports)
+  if (Reports.size() < MaxReports)
     Reports.push_back(std::move(R));
 }
 

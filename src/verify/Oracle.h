@@ -79,12 +79,6 @@ struct OracleOptions {
   /// Step budget per run; runs that exceed it are inconclusive.
   uint64_t MaxSteps = 1u << 20;
 
-  /// Bytes of the random initial memory image laid over the globals.
-  int MemImageBytes = 512;
-
-  /// Reports kept (counters keep counting past the cap).
-  int MaxReports = 16;
-
   /// When set, every executed comparison emits a "verify <fn>" span.
   obs::TraceSink *Sink = nullptr;
 };
@@ -136,7 +130,8 @@ public:
   /// True when no mismatch has been recorded.
   bool ok() const;
 
-  /// Snapshot of the recorded mismatches (capped at MaxReports).
+  /// Snapshot of the recorded mismatches (the first 16; counters keep
+  /// counting past them).
   std::vector<VerifyReport> reports() const;
 
   /// Snapshot of the counters.

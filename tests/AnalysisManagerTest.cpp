@@ -96,10 +96,6 @@ TEST(PreservedAnalyses, SetAlgebra) {
   for (int I = 0; I < NumAnalysisIDs; ++I)
     EXPECT_FALSE(None.preserved(static_cast<AnalysisID>(I)));
 
-  PreservedAnalyses All = PreservedAnalyses::all();
-  for (int I = 0; I < NumAnalysisIDs; ++I)
-    EXPECT_TRUE(All.preserved(static_cast<AnalysisID>(I)));
-
   PreservedAnalyses Shape = PreservedAnalyses::cfgShape();
   EXPECT_TRUE(Shape.preserved(AnalysisID::FlatCfg));
   EXPECT_TRUE(Shape.preserved(AnalysisID::Dominators));
@@ -110,8 +106,6 @@ TEST(PreservedAnalyses, SetAlgebra) {
   PreservedAnalyses P =
       PreservedAnalyses::none().preserve(AnalysisID::Liveness);
   EXPECT_TRUE(P.preserved(AnalysisID::Liveness));
-  P.abandon(AnalysisID::Liveness);
-  EXPECT_FALSE(P.preserved(AnalysisID::Liveness));
 }
 
 //===----------------------------------------------------------------------===//

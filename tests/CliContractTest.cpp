@@ -50,7 +50,6 @@ const Args Pipe = {"--jobs=abc", "--jobs", "--pipeline-cache=",
                    "--cache-budget=1.5G"};
 const Args Verify = {"--verify=maybe", "--verify-seed=12abc",
                      "--verify-inputs=abc", "--verify-inputs=0"};
-const Args NoFlags = {"--trace-out=t.json", "--jobs=2"};
 
 /// One single-argument case per element of \p Flags.
 std::vector<Args> each(const Args &Flags) {
@@ -97,9 +96,6 @@ std::vector<Binary> binaries() {
   // The once-silent misparse, spelled as a user would run it.
   Out[0].Malformed.push_back(
       {Queens, "--verify=final", "--verify-inputs=abc"});
-  for (const char *Name : {"table1_loop_exit", "table2_if_then_else",
-                           "fig1_natural_loops", "fig2_overlap"})
-    Out.push_back({CODEREP_BENCH_DIR, Name, each(NoFlags)});
   for (Binary &B : Out)
     B.Malformed.insert(B.Malformed.begin(), {"--no-such-flag"});
   return Out;

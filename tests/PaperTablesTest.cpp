@@ -1,12 +1,13 @@
-//===- PaperTablesTest.cpp - The evaluation's numbers against the golden --===//
+//===- PaperTablesTest.cpp - Every table and figure against the golden ----===//
 //
-// Pins every suite-wide number EXPERIMENTS.md reports - Figure 3, Tables
-// 4/5/6, Section 5.2 and both ablations - to tests/golden/paper_tables.txt.
-// The golden was produced by the seven per-table binaries that
-// bench/paper_tables replaced, so the old measurement code checks the new
-// one. A change that moves any counted quantity (a replication decision,
-// an executed RTL, a cache miss) fails here and names the first line that
-// moved; regenerating the golden is a deliberate act:
+// Pins every table and figure EXPERIMENTS.md reports - the Table 1/2 and
+// Figure 1/2 listings, Figure 3, Tables 4/5/6, Section 5.2 and both
+// ablations - to tests/golden/paper_tables.txt. The golden was produced
+// by the per-table and per-figure binaries that bench/paper_tables
+// replaced, so the old code checks the new one. A change that moves any
+// counted quantity (a replication decision, an executed RTL, a cache
+// miss) or a listed RTL fails here and names the first line that moved;
+// regenerating the golden is a deliberate act:
 //
 //   ./build/bench/paper_tables > tests/golden/paper_tables.txt
 //

@@ -28,6 +28,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 using namespace coderep;
@@ -277,14 +278,34 @@ TEST(ParallelPipeline, CorruptDiskEntryDegradesToMiss) {
     ColdText = compileToText(BP.Source, target::TargetKind::Sparc,
                              opt::OptLevel::Jumps, Opts);
   }
-  // Entries live inside the per-nibble shard subdirectories.
+  // Entries live inside the per-nibble shard subdirectories. Every other
+  // one becomes truncated version-1 garbage; the rest become well-formed
+  // version-2 entries, which carried a "verified" line after the key, as
+  // an older build wrote them.
+  int Index = 0;
   for (const auto &File :
        std::filesystem::recursive_directory_iterator(Dir)) {
     if (!File.is_regular_file())
       continue;
+    std::string Entry;
+    {
+      std::ifstream In(File.path());
+      std::ostringstream Bytes;
+      Bytes << In.rdbuf();
+      Entry = Bytes.str();
+    }
     std::ofstream Out(File.path(), std::ios::trunc);
-    Out << "coderep-pipeline-cache 1\nkey 3\nxyz garbage";
+    if (Index++ % 2 == 0) {
+      Out << "coderep-pipeline-cache 1\nkey 3\nxyz garbage";
+      continue;
+    }
+    // The key material has a "frame" line of its own; the entry's is last.
+    const size_t Header = Entry.find('\n'), Frame = Entry.rfind("\nframe ");
+    ASSERT_EQ(Entry.substr(0, Header), "coderep-pipeline-cache 3");
+    Out << "coderep-pipeline-cache 2" << Entry.substr(Header, Frame + 1 - Header)
+        << "verified 1\n" << Entry.substr(Frame + 1);
   }
+  ASSERT_GE(Index, 2) << "both kinds of stale entry must be present";
   {
     cache::PipelineCache Reader(Dir);
     opt::PipelineOptions Opts;

@@ -17,6 +17,7 @@
 #include "support/Format.h"
 #include "support/ThreadPool.h"
 
+#include "PaperTables.h"
 #include "TestJson.h"
 
 #include <gtest/gtest.h>
@@ -61,34 +62,6 @@ std::unique_ptr<Function> whileLoop() {
   return F;
 }
 
-/// The Figure-2 shape: two natural loops sharing blocks, where replicating
-/// the jump L3->L1 partially copies the inner loop and step 5 retargets
-/// branches into the copy.
-std::unique_ptr<Function> figure2() {
-  auto F = std::make_unique<Function>("fig2");
-  int L[5];
-  for (int I = 1; I <= 4; ++I)
-    L[I] = F->freshLabel();
-  auto add = [&](int Label, std::vector<Insn> Insns) {
-    BasicBlock *B = F->appendBlockWithLabel(Label);
-    B->Insns = std::move(Insns);
-  };
-  Operand R0 = vr(0);
-  add(L[1], {Insn::binary(Opcode::Add, R0, R0, Operand::imm(1)),
-             Insn::compare(R0, Operand::imm(50)),
-             Insn::condJump(CondCode::Ge, L[4])});
-  add(L[2], {Insn::binary(Opcode::Add, R0, R0, Operand::imm(2)),
-             Insn::compare(R0, Operand::imm(10)),
-             Insn::condJump(CondCode::Lt, L[1])});
-  add(L[3], {Insn::binary(Opcode::Add, R0, R0, Operand::imm(3)),
-             Insn::jump(L[1])});
-  add(L[4], {Insn::move(Operand::reg(RegRV), R0),
-             Insn::move(Operand::reg(RegSP), Operand::reg(RegFP)),
-             Insn::ret()});
-  F->verify();
-  return F;
-}
-
 /// Renders every decision in \p Sink as formatDecision lines.
 std::vector<std::string> decisionLines(const TraceSink &Sink) {
   std::vector<std::string> Out;
@@ -125,7 +98,7 @@ TEST(DecisionLogTest, GoldenWhileLoopJumps) {
 }
 
 TEST(DecisionLogTest, GoldenFigure2StepFiveRetargets) {
-  auto F = figure2();
+  auto F = bench::buildFigure2();
   TraceSink Sink;
   replicate::ReplicationOptions Options;
   Options.Trace.Sink = &Sink;
@@ -162,7 +135,7 @@ TEST(DecisionLogTest, GoldenWhileLoopLoops) {
 }
 
 TEST(DecisionLogTest, DecisionIdsAreDense) {
-  auto F = figure2();
+  auto F = bench::buildFigure2();
   TraceSink Sink;
   replicate::ReplicationOptions Options;
   Options.Trace.Sink = &Sink;
@@ -186,7 +159,7 @@ TEST(DecisionLogTest, DisabledSinkProducesIdenticalCode) {
   replicate::runJumps(*Plain); // default options: tracing disabled
   EXPECT_EQ(toString(*Traced), toString(*Plain));
 
-  auto Traced2 = figure2();
+  auto Traced2 = bench::buildFigure2();
   auto Plain2 = Traced2->clone();
   replicate::runJumps(*Traced2, Options);
   replicate::runJumps(*Plain2);
@@ -198,7 +171,7 @@ TEST(DecisionLogTest, DisabledSinkProducesIdenticalCode) {
 //===----------------------------------------------------------------------===//
 
 TEST(ChromeTraceTest, ExportIsValidJson) {
-  auto F = figure2();
+  auto F = bench::buildFigure2();
   TraceSink Sink;
   replicate::ReplicationOptions Options;
   Options.Trace.Sink = &Sink;

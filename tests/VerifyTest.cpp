@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <ostream>
 
 using namespace coderep;
@@ -348,7 +349,7 @@ TEST(Verify, NoMismatchMeansNothingToReduce) {
   EXPECT_FALSE(R.Mismatch);
 }
 
-TEST(Verify, CacheRecordsVerifiedEntries) {
+TEST(Verify, CacheHitSkipsTheOracle) {
   cache::PipelineCache Cache;
   const std::string Src = randomProgram(11);
 
@@ -363,12 +364,9 @@ TEST(Verify, CacheRecordsVerifiedEntries) {
   ASSERT_TRUE(C1.ok()) << C1.Error;
   ASSERT_TRUE(O1.ok());
   EXPECT_GT(C1.Pipeline.FunctionCacheMisses, 0);
-  // Every freshly stored body verified clean, so it was marked.
-  EXPECT_EQ(Cache.verifiedEntries(), Cache.entries());
-  EXPECT_GT(Cache.verifiedEntries(), 0u);
 
   // Second compile: hits bypass the pipeline entirely, so the verifier is
-  // never consulted - the verified mark is what says the body was checked.
+  // never consulted.
   Oracle O2(OO);
   Opts.Verifier = &O2;
   Compilation C2 =
@@ -376,6 +374,31 @@ TEST(Verify, CacheRecordsVerifiedEntries) {
   ASSERT_TRUE(C2.ok()) << C2.Error;
   EXPECT_GT(C2.Pipeline.FunctionCacheHits, 0);
   EXPECT_EQ(O2.counters().Checks, 0);
+}
+
+TEST(Verify, VerifyingCompileWritesEachDiskEntryOnce) {
+  // The oracle leaves the disk store alone: a verifying compile writes one
+  // entry file per miss, as a plain one does.
+  const std::string Dir =
+      (std::filesystem::path(::testing::TempDir()) / "coderep_verify_writes")
+          .string();
+  std::filesystem::remove_all(Dir);
+  {
+    cache::PipelineCache Cache(Dir);
+    OracleOptions OO;
+    OO.Gran = Granularity::Final;
+    Oracle O(OO);
+    opt::PipelineOptions Opts;
+    Opts.FunctionCache = &Cache;
+    Opts.Verifier = &O;
+    Compilation C = compile(randomProgram(11), target::TargetKind::Sparc,
+                            opt::OptLevel::Jumps, &Opts);
+    ASSERT_TRUE(C.ok()) << C.Error;
+    ASSERT_TRUE(O.ok());
+    EXPECT_GT(Cache.misses(), 0);
+    EXPECT_EQ(Cache.diskWrites(), Cache.misses());
+  }
+  std::filesystem::remove_all(Dir);
 }
 
 TEST(Verify, MutationChangesFunctionCacheKeys) {
