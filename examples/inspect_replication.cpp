@@ -152,9 +152,11 @@ int main(int Argc, char **Argv) {
               static_cast<long long>(C.Pipeline.FixpointPassesSkipped),
               C.Pipeline.QuiescentRounds);
 
-  // Echo the structured decision log when tracing was requested; the same
-  // records ride in the Chrome-trace export as instant events.
-  if (obs::TraceSink *Sink = Obs.sink()) {
+  // Echo the structured decision log when events were recorded (a trace,
+  // profile or DOT output was requested); the same records ride in the
+  // Chrome-trace export as instant events.
+  obs::TraceSink *Sink = Obs.sink();
+  if (Sink && Sink->eventsEnabled()) {
     std::printf("\n=== replication decision log ===\n");
     for (const obs::ReplicationDecision &D : Sink->decisions())
       std::printf("%s\n", obs::formatDecision(D).c_str());

@@ -93,18 +93,8 @@ Compilation driver::compile(const std::string &Source, target::TargetKind TK,
     obs::ScopedTimer Span(Sink, "optimize");
     opt::optimizeProgram(*Result.Prog, *T, Options, &Result.Pipeline);
   }
-  if (Sink) {
-    // Rollup of the per-function analysis caches (the per-analysis split
-    // lives under the analysis.<name>.* keys). Counters, like that split:
-    // a sink that spans several compiles totals them all.
-    const AnalysisCounters &A = Result.Pipeline.Analysis;
-    Sink->metrics().add("driver.analysis_hits", A.totalHits());
-    Sink->metrics().add("driver.analysis_recomputes", A.totalRecomputes());
-    Sink->metrics().add("driver.analysis_invalidations",
-                        A.totalInvalidations());
-    if (Options.Verifier)
-      Options.Verifier->publishMetrics(Sink->metrics());
-  }
+  if (Sink && Options.Verifier)
+    Options.Verifier->publishMetrics(Sink->metrics());
   Result.Static = staticStats(*Result.Prog);
   return Result;
 }

@@ -8,7 +8,6 @@
 #include "support/Format.h"
 #include "support/Rng.h"
 
-#include <climits>
 #include <cstdlib>
 #include <cstring>
 
@@ -81,26 +80,6 @@ void Image::layoutData(const std::vector<Global> &Globals) {
                       GlobalAddr[static_cast<size_t>(Sym)], 0});
     }
   }
-}
-
-/// CondJump's outcome for each sign of CC: bit 0 when negative, bit 1 when
-/// zero, bit 2 when positive.
-static uint8_t takenMask(CondCode C) {
-  switch (C) {
-  case CondCode::Eq:
-    return 0b010;
-  case CondCode::Ne:
-    return 0b101;
-  case CondCode::Lt:
-    return 0b001;
-  case CondCode::Le:
-    return 0b011;
-  case CondCode::Gt:
-    return 0b100;
-  case CondCode::Ge:
-    return 0b110;
-  }
-  return 0;
 }
 
 void Image::lowerFunction(const Function &F, uint32_t &Addr) {
@@ -242,7 +221,11 @@ void Image::lowerFunction(const Function &F, uint32_t &Addr) {
       switch (O.C) {
       case Code::CondJump:
         O.Next = BlockStart[static_cast<size_t>(B) + 1];
-        O.Taken = takenMask(I.Cond);
+        // A condition holds or not for every CC of one sign, so three
+        // probes decide the branch for all of them.
+        for (int Sign = -1; Sign <= 1; ++Sign)
+          O.Taken |=
+              static_cast<uint8_t>(condHolds(I.Cond, Sign) << (Sign + 1));
         [[fallthrough]];
       case Code::Jump:
         O.Target = targetOf(I.Target);
@@ -657,16 +640,14 @@ inline void Machine::State::execute(const Image::Op &O) {
     writeResult(O.Dst, memAddr(O.Src1));
     break;
   case C::Neg:
-    writeResult(O.Dst, -eval(O.Src1));
-    break;
   case C::Not:
-    writeResult(O.Dst, ~eval(O.Src1));
+    writeResult(O.Dst, evalUnary(static_cast<Opcode>(O.C), eval(O.Src1)));
     break;
   case C::Compare: {
     // Sequenced: when both operands trap, Src1's trap is the one reported.
-    const int64_t A = static_cast<int32_t>(eval(O.Src1));
-    const int64_t B = static_cast<int32_t>(eval(O.Src2));
-    setReg(RegCC, A - B);
+    const int64_t A = eval(O.Src1);
+    const int64_t B = eval(O.Src2);
+    setReg(RegCC, compareValue(A, B));
     break;
   }
   case C::Add:
@@ -679,54 +660,15 @@ inline void Machine::State::execute(const Image::Op &O) {
   case C::Xor:
   case C::Shl:
   case C::Shr: {
-    int64_t A = static_cast<int32_t>(eval(O.Src1));
-    int64_t B = static_cast<int32_t>(eval(O.Src2));
-    int64_t R = 0;
-    switch (O.C) {
-    case C::Add:
-      R = A + B;
-      break;
-    case C::Sub:
-      R = A - B;
-      break;
-    case C::Mul:
-      R = A * B;
-      break;
-    case C::Div:
-    case C::Rem:
-      if (B == 0) {
-        trap(Trap::DivByZero, "division by zero");
-        return;
-      }
-      // The one 32-bit quotient that does not fit in 32 bits. Real targets
-      // fault here (SIGFPE on x86); making it an explicit trap keeps every
-      // machine fault a defined observable for differential fuzzing.
-      if (A == INT32_MIN && B == -1) {
-        trap(Trap::Overflow, "signed division overflow");
-        return;
-      }
-      R = O.C == C::Div ? A / B : A % B;
-      break;
-    case C::And:
-      R = A & B;
-      break;
-    case C::Or:
-      R = A | B;
-      break;
-    case C::Xor:
-      R = A ^ B;
-      break;
-    case C::Shl:
-      R = static_cast<int64_t>(static_cast<uint32_t>(A)
-                               << (static_cast<uint32_t>(B) & 31));
-      break;
-    case C::Shr:
-      R = static_cast<int32_t>(A) >> (static_cast<uint32_t>(B) & 31);
-      break;
-    default:
-      CODEREP_UNREACHABLE("not an ALU op");
+    const int64_t A = eval(O.Src1);
+    const int64_t B = eval(O.Src2);
+    const AluResult R = evalBinary(static_cast<Opcode>(O.C), A, B);
+    if (!R.ok()) {
+      trap(R.Fault, R.Fault == Trap::DivByZero ? "division by zero"
+                                               : "signed division overflow");
+      return;
     }
-    writeResult(O.Dst, R);
+    writeResult(O.Dst, R.Value);
     break;
   }
   default:

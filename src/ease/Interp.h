@@ -14,8 +14,9 @@
 /// generated code.
 ///
 /// Execution model:
-///  * Words are 32-bit little-endian; ALU results wrap to 32 bits; byte
-///    loads sign-extend.
+///  * Words are 32-bit little-endian; byte loads sign-extend. ALU,
+///    compare and branch semantics, and the two arithmetic traps, come
+///    from rtl/Eval.h, which the constant folders share.
 ///  * Each function invocation has a private register file (the SPARC
 ///    register-window idealization); RegSP flows into a call and RegRV
 ///    flows back out.
@@ -37,6 +38,7 @@
 #define CODEREP_EASE_INTERP_H
 
 #include "cfg/Function.h"
+#include "rtl/Eval.h"
 
 #include <cstdint>
 #include <memory>
@@ -95,17 +97,8 @@ struct RunOptions {
   bool CaptureGlobals = false;
 };
 
-/// Why a run ended. Every runtime fault of the interpreted machine is a
-/// defined, observable trap - never host UB - so differential fuzzing can
-/// compare trap behavior across optimization levels.
-enum class Trap {
-  None,          ///< main returned or exit() was called
-  OutOfBounds,   ///< memory access outside the data segment
-  DivByZero,
-  StepLimit,
-  BadProgram,    ///< malformed control flow or missing main
-  Overflow,      ///< signed division overflow (INT32_MIN / -1)
-};
+/// Why a run ended (rtl/Eval.h defines the machine's fault model).
+using rtl::Trap;
 
 /// Dynamic measurements of one run (the paper's EASE counters).
 struct DynamicStats {

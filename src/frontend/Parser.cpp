@@ -23,6 +23,26 @@ private:
   std::string &Error;
   size_t Pos = 0;
   bool Failed = false;
+  int Depth = 0; ///< tree levels above the node being parsed
+
+  /// Takes the parse one level deeper, or fails past MaxTreeDepth and
+  /// the caller builds nothing below. Every recursion of the grammar
+  /// passes through here, so the parser's own stack is bounded too.
+  bool descend() {
+    if (++Depth <= MaxTreeDepth)
+      return true;
+    fail(format("line %d: nested deeper than %d levels", peek().Line,
+                MaxTreeDepth));
+    return false;
+  }
+
+  /// One level deeper for the guard's lifetime.
+  struct Level {
+    Parser &P;
+    const bool Ok;
+    explicit Level(Parser &P) : P(P), Ok(P.descend()) {}
+    ~Level() { --P.Depth; }
+  };
 
   const Token &peek(int Ahead = 0) const {
     size_t I = Pos + Ahead;
@@ -266,6 +286,9 @@ std::unique_ptr<Stmt> Parser::parseDecl() {
 std::unique_ptr<Stmt> Parser::parseStmt() {
   auto S = std::make_unique<Stmt>();
   S->Line = peek().Line;
+  const Level Nested(*this);
+  if (!Nested.Ok)
+    return S;
 
   if (atTypeKeyword())
     return parseDecl();
@@ -453,7 +476,8 @@ std::unique_ptr<Expr> Parser::parseAssign() {
     E->K = Expr::Kind::Assign;
     E->Line = Line;
     E->A = std::move(LHS);
-    E->B = parseAssign();
+    if (const Level Rhs(*this); Rhs.Ok)
+      E->B = parseAssign();
     return E;
   }
   if (compoundOpFor(peek().Kind, CompoundOp)) {
@@ -464,7 +488,8 @@ std::unique_ptr<Expr> Parser::parseAssign() {
     E->HasCompoundOp = true;
     E->BOp = CompoundOp;
     E->A = std::move(LHS);
-    E->B = parseAssign();
+    if (const Level Rhs(*this); Rhs.Ok)
+      E->B = parseAssign();
     return E;
   }
   return LHS;
@@ -478,6 +503,9 @@ std::unique_ptr<Expr> Parser::parseCond() {
   E->K = Expr::Kind::Cond;
   E->Line = peek().Line;
   E->A = std::move(C);
+  const Level Arms(*this);
+  if (!Arms.Ok)
+    return E;
   E->B = parseAssign();
   expect(TokKind::Colon, "':'");
   E->C = parseCond();
@@ -515,6 +543,7 @@ static const OpInfo BinaryOps[] = {
 
 std::unique_ptr<Expr> Parser::parseBinary(int MinPrec) {
   auto LHS = parseUnary();
+  const int Spine = Depth; // each operator deepens the chain's left spine
   while (!Failed) {
     const OpInfo *Found = nullptr;
     for (const OpInfo &Info : BinaryOps)
@@ -523,8 +552,10 @@ std::unique_ptr<Expr> Parser::parseBinary(int MinPrec) {
         break;
       }
     if (!Found)
-      return LHS;
+      break;
     int Line = take().Line;
+    if (!descend())
+      break;
     auto RHS = parseBinary(Found->Prec + 1);
     auto E = std::make_unique<Expr>();
     E->K = Expr::Kind::Binary;
@@ -534,6 +565,7 @@ std::unique_ptr<Expr> Parser::parseBinary(int MinPrec) {
     E->B = std::move(RHS);
     LHS = std::move(E);
   }
+  Depth = Spine;
   return LHS;
 }
 
@@ -544,7 +576,8 @@ std::unique_ptr<Expr> Parser::parseUnary() {
     E->K = Expr::Kind::Unary;
     E->Line = Line;
     E->UOp = Op;
-    E->A = parseUnary();
+    if (const Level Operand(*this); Operand.Ok)
+      E->A = parseUnary();
     return E;
   };
   if (at(TokKind::Minus))
@@ -565,7 +598,8 @@ std::unique_ptr<Expr> Parser::parseUnary() {
     E->Line = Line;
     E->IsIncrement = Inc;
     E->IsPrefix = true;
-    E->A = parseUnary();
+    if (const Level Operand(*this); Operand.Ok)
+      E->A = parseUnary();
     return E;
   }
   return parsePostfix();
@@ -573,7 +607,12 @@ std::unique_ptr<Expr> Parser::parseUnary() {
 
 std::unique_ptr<Expr> Parser::parsePostfix() {
   auto E = parsePrimary();
+  const int Spine = Depth; // each postfix operator deepens the spine
   while (!Failed) {
+    const bool Postfix = at(TokKind::LBracket) || at(TokKind::PlusPlus) ||
+                         at(TokKind::MinusMinus);
+    if (!Postfix || !descend())
+      break;
     if (accept(TokKind::LBracket)) {
       auto Idx = std::make_unique<Expr>();
       Idx->K = Expr::Kind::Index;
@@ -584,20 +623,17 @@ std::unique_ptr<Expr> Parser::parsePostfix() {
       E = std::move(Idx);
       continue;
     }
-    if (at(TokKind::PlusPlus) || at(TokKind::MinusMinus)) {
-      bool Inc = at(TokKind::PlusPlus);
-      take();
-      auto P = std::make_unique<Expr>();
-      P->K = Expr::Kind::IncDec;
-      P->Line = peek().Line;
-      P->IsIncrement = Inc;
-      P->IsPrefix = false;
-      P->A = std::move(E);
-      E = std::move(P);
-      continue;
-    }
-    return E;
+    bool Inc = at(TokKind::PlusPlus);
+    take();
+    auto P = std::make_unique<Expr>();
+    P->K = Expr::Kind::IncDec;
+    P->Line = peek().Line;
+    P->IsIncrement = Inc;
+    P->IsPrefix = false;
+    P->A = std::move(E);
+    E = std::move(P);
   }
+  Depth = Spine;
   return E;
 }
 
@@ -615,6 +651,9 @@ std::unique_ptr<Expr> Parser::parsePrimary() {
     return E;
   }
   if (accept(TokKind::LParen)) {
+    const Level Parenthesized(*this);
+    if (!Parenthesized.Ok)
+      return E;
     auto Inner = parseExpr();
     expect(TokKind::RParen, "')'");
     return Inner;
@@ -624,7 +663,8 @@ std::unique_ptr<Expr> Parser::parsePrimary() {
     if (accept(TokKind::LParen)) {
       E->K = Expr::Kind::Call;
       E->Name = std::move(Name);
-      if (!at(TokKind::RParen)) {
+      const Level Args(*this);
+      if (Args.Ok && !at(TokKind::RParen)) {
         do
           E->Args.push_back(parseAssign());
         while (accept(TokKind::Comma) && !Failed);

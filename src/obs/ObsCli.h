@@ -11,7 +11,10 @@
 /// pass config() wherever a TraceConfig is accepted and call finish()
 /// before exit to write the requested files. While a trace is requested,
 /// the sink is armed for crash-safe flushing (TraceSink::installCrashFlush)
-/// until finish() has written it.
+/// until finish() has written it. The sink records span events only for an
+/// output that reads them (the trace, the two profiles and the DOT dumps):
+/// metrics, histograms and the journal do not need them, so a long-lived
+/// `--metrics-out` run keeps no event log.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,11 +53,9 @@ public:
   /// path. Arms crash-safe trace flushing when a trace was requested.
   TraceConfig config() {
     TraceConfig C;
-    if (sinkWanted()) {
-      C.Sink = &Sink;
-      if (!TraceOut.empty())
-        TraceSink::installCrashFlush(&Sink, TraceOut);
-    }
+    C.Sink = sink();
+    if (C.Sink && !TraceOut.empty())
+      TraceSink::installCrashFlush(&Sink, TraceOut);
     if (!JournalOut.empty())
       C.SessionJournal = &SessionJournal;
     C.CfgDotDir = DotDir;
@@ -62,7 +63,12 @@ public:
   }
 
   /// The sink itself, for binaries that record their own spans.
-  TraceSink *sink() { return sinkWanted() ? &Sink : nullptr; }
+  TraceSink *sink() {
+    if (!sinkWanted())
+      return nullptr;
+    Sink.setEventsEnabled(eventsWanted());
+    return &Sink;
+  }
 
   /// The journal, for binaries that append their own records.
   Journal *journal() { return JournalOut.empty() ? nullptr : &SessionJournal; }
@@ -101,10 +107,11 @@ public:
   }
 
 private:
-  bool sinkWanted() const {
-    return !TraceOut.empty() || !MetricsOut.empty() || !ProfileOut.empty() ||
+  bool eventsWanted() const {
+    return !TraceOut.empty() || !ProfileOut.empty() ||
            !ProfileFolded.empty() || !DotDir.empty();
   }
+  bool sinkWanted() const { return eventsWanted() || !MetricsOut.empty(); }
 
   std::string TraceOut, MetricsOut, ProfileOut, ProfileFolded, JournalOut,
       DotDir;

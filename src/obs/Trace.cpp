@@ -163,19 +163,6 @@ void TraceSink::instant(std::string Name, std::string Args) {
        tidLocked()});
 }
 
-void TraceSink::counter(std::string Name, int64_t Value) {
-  if (!eventsEnabled())
-    return;
-  auto Now = std::chrono::steady_clock::now();
-  std::lock_guard<std::mutex> Lock(Mu);
-  Events.push_back(
-      {EventPhase::Counter, std::move(Name),
-       format("\"value\": %lld", static_cast<long long>(Value)),
-       std::chrono::duration_cast<std::chrono::microseconds>(Now - Epoch)
-           .count(),
-       tidLocked()});
-}
-
 void TraceSink::nameCurrentThread(std::string Name) {
   std::lock_guard<std::mutex> Lock(Mu);
   uint32_t Tid = tidLocked();

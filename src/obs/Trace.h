@@ -11,7 +11,6 @@
 ///
 ///  * span events (begin/end pairs, nestable, one track per thread),
 ///  * instant events,
-///  * counter samples,
 ///  * structured *replication decision records* - one per unconditional
 ///    jump the JUMPS algorithm examined, carrying every candidate sequence
 ///    considered with its RTL cost and fate (applied, length-capped,
@@ -49,7 +48,6 @@ enum class EventPhase : char {
   Begin = 'B',   ///< span start ("ph":"B")
   End = 'E',     ///< span end ("ph":"E")
   Instant = 'i', ///< point event ("ph":"i")
-  Counter = 'C', ///< counter sample ("ph":"C")
 };
 
 /// One recorded event. Args is a pre-rendered JSON object *body* (the text
@@ -141,9 +139,6 @@ public:
   /// Records a point event.
   void instant(std::string Name, std::string Args = {});
 
-  /// Records a counter sample (rendered as a Chrome counter track).
-  void counter(std::string Name, int64_t Value);
-
   /// Names the calling thread's track in the export ("worker 2"). Without
   /// an explicit name a thread exports as "thread <id>".
   void nameCurrentThread(std::string Name);
@@ -157,10 +152,11 @@ public:
   HistogramRegistry &histograms() { return Histograms; }
   const HistogramRegistry &histograms() const { return Histograms; }
 
-  /// Gates span/instant/counter *event* recording while leaving metrics,
-  /// histograms and decision records live. Lets a caller (the bench's
-  /// obs-overhead sweep, the future daemon's steady state) keep the cheap
-  /// aggregates without paying per-event clock reads and buffer growth.
+  /// Gates span/instant *event* recording while leaving metrics,
+  /// histograms and decision records live. Lets a caller (ObsCli when no
+  /// requested output reads events, the bench's obs-overhead sweep) keep
+  /// the cheap aggregates without paying per-event clock reads and buffer
+  /// growth.
   void setEventsEnabled(bool Enabled) {
     EventsEnabled.store(Enabled, std::memory_order_relaxed);
   }

@@ -11,7 +11,7 @@
 
 #include "opt/Pass.h"
 
-#include "opt/ConstEval.h"
+#include "rtl/Eval.h"
 #include "support/Check.h"
 
 using namespace coderep;
@@ -31,17 +31,15 @@ template <class InsnT> static bool simplifyInsn(InsnT &I) {
   if (touchesStackRegs(I))
     return false;
   if (I.isBinaryOp() && I.Src1.isImm() && I.Src2.isImm()) {
-    int64_t R;
-    if (!evalConstBinary(I.Op, I.Src1.Disp, I.Src2.Disp, R))
+    // An op the machine traps on stays, to trap at run time.
+    const AluResult R = evalBinary(I.Op, I.Src1.Disp, I.Src2.Disp);
+    if (!R.ok())
       return false;
-    I = Insn::move(I.Dst, Operand::imm(R));
+    I = Insn::move(I.Dst, Operand::imm(R.Value));
     return true;
   }
   if (I.isUnaryOp() && I.Src1.isImm()) {
-    int64_t V = static_cast<int32_t>(I.Src1.Disp);
-    I = Insn::move(I.Dst,
-                   Operand::imm(static_cast<int32_t>(
-                       I.Op == Opcode::Neg ? -V : ~V)));
+    I = Insn::move(I.Dst, Operand::imm(evalUnary(I.Op, I.Src1.Disp)));
     return true;
   }
   if (!I.isBinaryOp())
@@ -89,14 +87,13 @@ PassResult opt::runConstantFolding(Function &F) {
       if (X.Op == Opcode::Compare) {
         CCKnown = X.Src1.isImm() && X.Src2.isImm();
         if (CCKnown)
-          CCValue = static_cast<int32_t>(X.Src1.Disp) -
-                    static_cast<int64_t>(static_cast<int32_t>(X.Src2.Disp));
+          CCValue = compareValue(X.Src1.Disp, X.Src2.Disp);
         continue;
       }
       if (X.Op == Opcode::CondJump && CCKnown) {
         // Constant folding at a conditional branch: the branch becomes an
         // unconditional jump or disappears (§3.3.1).
-        if (condHoldsFor(X.Cond, CCValue))
+        if (condHolds(X.Cond, CCValue))
           X = Insn::jump(X.Target);
         else
           Block->Insns.erase(Block->Insns.begin() + I);

@@ -13,7 +13,7 @@
 #include "opt/Pass.h"
 
 #include "cfg/FlatCfg.h"
-#include "opt/ConstEval.h"
+#include "rtl/Eval.h"
 #include "support/Check.h"
 
 #include <array>
@@ -312,16 +312,17 @@ bool CsePass::processBlock(BasicBlock &B, ValueTable &VT) {
       int VN = VT.vnOfExpr(Key);
       // Constant propagation through the operation itself: when every
       // operand's value is known, the result is known, even on targets
-      // where an immediate operand would be illegal in this RTL.
+      // where an immediate operand would be illegal in this RTL. An op the
+      // machine traps on gets no constant and stays, to trap at run time.
       if (I.Op != Opcode::Lea && !VT.hasConst(VN)) {
-        int64_t R;
         if (I.isUnaryOp()) {
-          if (VT.hasConst(VN1) && evalConstUnary(I.Op, VT.constOf(VN1), R))
-            VT.setConst(VN, R);
-        } else if (I.isBinaryOp()) {
-          if (VT.hasConst(VN1) && VT.hasConst(VN2) &&
-              evalConstBinary(I.Op, VT.constOf(VN1), VT.constOf(VN2), R))
-            VT.setConst(VN, R);
+          if (VT.hasConst(VN1))
+            VT.setConst(VN, evalUnary(I.Op, VT.constOf(VN1)));
+        } else if (I.isBinaryOp() && VT.hasConst(VN1) && VT.hasConst(VN2)) {
+          const AluResult R =
+              evalBinary(I.Op, VT.constOf(VN1), VT.constOf(VN2));
+          if (R.ok())
+            VT.setConst(VN, R.Value);
         }
       }
       int H = VT.validHolder(VN);
@@ -347,9 +348,7 @@ bool CsePass::processBlock(BasicBlock &B, ValueTable &VT) {
       int VN = VT.vnOfExpr(
           {static_cast<int>(Opcode::Compare), VN1, VN2, 0, 0, 0, 0, 0});
       if (VT.hasConst(VN1) && VT.hasConst(VN2))
-        VT.setConst(VN, static_cast<int32_t>(VT.constOf(VN1)) -
-                            static_cast<int64_t>(static_cast<int32_t>(
-                                VT.constOf(VN2))));
+        VT.setConst(VN, compareValue(VT.constOf(VN1), VT.constOf(VN2)));
       VT.setReg(RegCC, VN);
       break;
     }
@@ -358,7 +357,7 @@ bool CsePass::processBlock(BasicBlock &B, ValueTable &VT) {
       // value propagated across the extended basic block (§3.3.1).
       int CC = VT.lookupReg(RegCC);
       if (CC >= 0 && VT.hasConst(CC)) {
-        if (condHoldsFor(I.Cond, VT.constOf(CC)))
+        if (condHolds(I.Cond, VT.constOf(CC)))
           I = Insn::jump(I.Target);
         else
           B.Insns.erase(B.Insns.begin() + Idx);

@@ -287,9 +287,6 @@ TEST(AnalysisManagerObs, MetricsMirrorTheStatsCounters) {
               A.Invalidations[I])
         << Name;
   }
-  EXPECT_EQ(Sink.metrics().value("driver.analysis_hits"), A.totalHits());
-  EXPECT_EQ(Sink.metrics().value("driver.analysis_recomputes"),
-            A.totalRecomputes());
   EXPECT_GT(A.totalHits(), 0);
 }
 

@@ -6,6 +6,8 @@
 
 #include "driver/Compiler.h"
 
+#include "DeepSource.h"
+
 #include <gtest/gtest.h>
 
 using namespace coderep;
@@ -102,6 +104,35 @@ TEST(Parser, SyntaxErrorsCarryLineNumbers) {
   std::string Error;
   EXPECT_FALSE(parse("int main() {\n  return 1 +;\n}", TU, Error));
   EXPECT_NE(Error.find("line 2"), std::string::npos);
+}
+
+// Past MaxTreeDepth each hostile shape is a compile error naming the line
+// it went too deep on; before the cap, code generation and AST destruction
+// recursed until the stack overflowed.
+TEST(Parser, TreeDeeperThanTheCapIsACompileError) {
+  const int Past = MaxTreeDepth + 1;
+  const struct {
+    std::string Source;
+    int Line;
+  } Cases[] = {{test::sumChain(Past), 4},
+               {test::nestedParens(Past), 4},
+               {test::nestedIfs(Past), 4 + (Past - 1) / 2}};
+  for (const auto &C : Cases) {
+    driver::Compilation R = driver::compile(C.Source, target::TargetKind::Sparc,
+                                            opt::OptLevel::Simple);
+    EXPECT_EQ(R.Error, "line " + std::to_string(C.Line) +
+                           ": nested deeper than 500 levels");
+  }
+}
+
+TEST(Parser, TreeAtTheCapCompiles) {
+  for (const std::string &Source :
+       {test::sumChain(MaxTreeDepth), test::nestedParens(MaxTreeDepth),
+        test::nestedIfs(MaxTreeDepth)}) {
+    driver::Compilation R = driver::compile(Source, target::TargetKind::Sparc,
+                                            opt::OptLevel::Simple);
+    EXPECT_TRUE(R.ok()) << R.Error;
+  }
 }
 
 TEST(Parser, SwitchCasesRecorded) {

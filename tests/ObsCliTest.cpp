@@ -115,6 +115,45 @@ TEST(ObsCliTest, FinishWritesEveryRequestedArtifact) {
     std::remove(Path.c_str());
 }
 
+TEST(ObsCliTest, RecordsEventsOnlyForOutputsThatReadThem) {
+  // --metrics-out alone keeps metrics and histograms live but records no
+  // span events, so a long-lived daemon's sink does not grow per request.
+  {
+    const std::string Metrics = tempPath("m_only.json");
+    ObsCli Cli;
+    parse(Cli, {"--metrics-out=" + Metrics});
+    TraceConfig C = Cli.config();
+    ASSERT_NE(C.Sink, nullptr);
+    EXPECT_FALSE(C.Sink->eventsEnabled());
+    {
+      ScopedTimer T(C.Sink, "span");
+      C.Sink->metrics().add("obscli.test_count", 2);
+      C.Sink->histograms().record("obscli.test_us", 10);
+    }
+    EXPECT_TRUE(C.Sink->events().empty());
+    ASSERT_TRUE(Cli.finish());
+    const std::string Json = slurp(Metrics);
+    EXPECT_NE(Json.find("\"obscli.test_count\""), std::string::npos);
+    EXPECT_NE(Json.find("\"obscli.test_us\""), std::string::npos);
+    std::remove(Metrics.c_str());
+  }
+  // Each output that reads events turns them on.
+  for (const std::string Flag :
+       {"--trace-out=", "--profile-out=", "--profile-folded=", "--dot-dir="}) {
+    const std::string Path = tempPath("events");
+    ObsCli Cli;
+    parse(Cli, {Flag + Path, "--metrics-out=" + tempPath("m_events.json")});
+    TraceConfig C = Cli.config();
+    ASSERT_NE(C.Sink, nullptr);
+    EXPECT_TRUE(C.Sink->eventsEnabled()) << Flag;
+    { ScopedTimer T(C.Sink, "span"); }
+    EXPECT_EQ(C.Sink->events().size(), 2u) << Flag; // begin and end
+    EXPECT_TRUE(Cli.finish());
+    std::remove(Path.c_str());
+    std::remove(tempPath("m_events.json").c_str());
+  }
+}
+
 TEST(ObsCliTest, FinishFailsOnUnwritablePath) {
   ObsCli Cli;
   parse(Cli, {"--metrics-out=/nonexistent-dir/metrics.json"});

@@ -183,6 +183,21 @@ TEST(ConstantFolding, DoesNotFoldDivisionByZero) {
   EXPECT_EQ(B0->Insns[0].Op, Opcode::Div);
 }
 
+TEST(ConstantFolding, DoesNotFoldSignedDivisionOverflow) {
+  // INT32_MIN / -1 and INT32_MIN % -1 trap on the machine; folding either
+  // would run the host's division, which faults in the compiler instead.
+  for (Opcode Op : {Opcode::Div, Opcode::Rem}) {
+    Builder B;
+    BasicBlock *B0 = B.block();
+    B0->Insns = {
+        Insn::binary(Op, vr(0), Operand::imm(INT32_MIN), Operand::imm(-1)),
+        Insn::ret(),
+    };
+    EXPECT_FALSE(runConstantFolding(*B.F).Changed);
+    EXPECT_EQ(B0->Insns[0].Op, Op);
+  }
+}
+
 TEST(ConstantFolding, FoldsConstantConditionalBranchTaken) {
   Builder B;
   int LT = B.F->freshLabel();

@@ -14,9 +14,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "DeepSource.h"
 #include "Suite.h"
 #include "cfg/FunctionPrinter.h"
 #include "driver/Compiler.h"
+#include "frontend/Parser.h"
 #include "server/Client.h"
 #include "server/Server.h"
 #include "verify/Oracle.h"
@@ -264,6 +266,71 @@ TEST(CompileServer, CompileErrorKeepsConnectionUsable) {
   const server::ServerStats S = TS.Server->stats();
   EXPECT_EQ(S.RequestErrors, 1);
   EXPECT_EQ(S.RequestsServed, 2);
+}
+
+// A source too deep for the frontend fails alone: before the tree-depth
+// cap, each of these shapes overflowed a pool worker's stack and took the
+// daemon down.
+TEST(CompileServer, TooDeepSourceFailsOnlyItsRequest) {
+  TestServer TS("deep");
+  server::Client Conn;
+  std::string Err;
+  ASSERT_TRUE(Conn.connect(TS.Socket, Err)) << Err;
+
+  const int Past = frontend::MaxTreeDepth + 1;
+  for (const std::string &Source :
+       {test::sumChain(Past), test::nestedParens(Past),
+        test::nestedIfs(Past)}) {
+    server::CompileRequest Req;
+    Req.Name = "deep";
+    Req.Source = Source;
+    server::CompileResponse Resp;
+    ASSERT_TRUE(Conn.roundtrip(Req, Resp, Err)) << Err;
+    EXPECT_FALSE(Resp.Ok);
+    EXPECT_NE(Resp.Error.find("nested deeper than 500 levels"),
+              std::string::npos)
+        << Resp.Error;
+
+    Req.Name = "next";
+    Req.Source = "int main() { return 5; }";
+    ASSERT_TRUE(Conn.roundtrip(Req, Resp, Err)) << Err;
+    EXPECT_TRUE(Resp.Ok) << Resp.Error;
+  }
+  const server::ServerStats S = TS.Server->stats();
+  EXPECT_EQ(S.RequestErrors, 3);
+  EXPECT_EQ(S.RequestsServed, 6);
+}
+
+// INT32_MIN / -1 and INT32_MIN % -1 trap on the machine. Constant folding
+// once ran the host's division on them instead, and the SIGFPE killed the
+// daemon; now the fault stays in the code, as in the one-shot compile.
+TEST(CompileServer, SignedDivisionOverflowIsServedLikeOneShot) {
+  TestServer TS("divov");
+  server::Client Conn;
+  std::string Err;
+  ASSERT_TRUE(Conn.connect(TS.Socket, Err)) << Err;
+
+  for (const char *Op : {"/", "%"}) {
+    server::CompileRequest Req;
+    Req.Name = "divov";
+    Req.Source = std::string("int main() {\n  int a, b;\n"
+                             "  a = -2147483647 - 1;\n  b = -1;\n"
+                             "  printf(\"%d\\n\", a ") +
+                 Op + " b);\n  return 0;\n}\n";
+    server::CompileResponse Resp;
+    ASSERT_TRUE(Conn.roundtrip(Req, Resp, Err)) << Err;
+    ASSERT_TRUE(Resp.Ok) << Resp.Error;
+    EXPECT_EQ(Resp.Rtl, oneShotRtl(Req.Source, target::TargetKind::Sparc,
+                                   opt::OptLevel::Jumps));
+  }
+
+  server::CompileRequest Next;
+  Next.Name = "next";
+  Next.Source = "int main() { return 5; }";
+  server::CompileResponse Resp;
+  ASSERT_TRUE(Conn.roundtrip(Next, Resp, Err)) << Err;
+  EXPECT_TRUE(Resp.Ok) << Resp.Error;
+  EXPECT_EQ(TS.Server->stats().RequestsServed, 3);
 }
 
 // A verifying server runs every compiled main under the oracle on a pool

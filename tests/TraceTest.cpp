@@ -177,7 +177,6 @@ TEST(ChromeTraceTest, ExportIsValidJson) {
   Options.Trace.Sink = &Sink;
   replicate::runJumps(*F, Options);
   Sink.instant("checkpoint", "\"note\": \"quotes \\\" and \\\\ survive\"");
-  Sink.counter("blocks", F->size());
 
   std::string Json = Sink.chromeTraceJson();
   EXPECT_TRUE(JsonValidator(Json).validate()) << Json;
@@ -301,7 +300,6 @@ TEST(MetricsTest, EventsDisabledKeepsMetricsAndHistogramsLive) {
   {
     ScopedTimer T(&Sink, "muted span");
     Sink.instant("muted instant");
-    Sink.counter("muted counter", 1);
   }
   Sink.metrics().add("still.counted", 1);
   Sink.histograms().record("still.recorded_us", 5);
